@@ -20,7 +20,6 @@ vehicle itself (its state is always known).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,8 +32,7 @@ from ..sim.vehicle import VehicleState
 from .neighbors import AREA_COUNT, MIRROR_AREA
 from .tracking import ObservationBuffer
 
-__all__ = ["TrackKind", "TrackedVehicle", "PerceivedScene", "build_scene",
-           "PhantomCache", "PHANTOM_CACHE"]
+__all__ = ["TrackKind", "TrackedVehicle", "PerceivedScene", "build_scene"]
 
 #: Area indices whose phantom sits one lane to the left / right.
 LEFT_AREAS = frozenset({1, 4})
@@ -164,87 +162,14 @@ def _missing_kind(reference_lane: int, area: int, road: Road) -> TrackKind:
     return TrackKind.PHANTOM_RANGE
 
 
-class PhantomCache:
-    """Size-bounded LRU over missing-node construction.
-
-    Phantom geometry (Eqs. 4-5) is a pure function of the reference
-    vehicle's history, the area, the lane configuration, and the sensor
-    range -- and within one decision step the *same* reference history
-    is re-used for up to six areas (the ego for missing targets, each
-    target for its missing surroundings), and consecutive steps repeat
-    whole keys whenever a vehicle's recent states recur (steady-state
-    cruising, the common highway case).
-    Keys hash frozen :class:`~repro.sim.vehicle.VehicleState` tuples, so
-    hits return histories built from the exact same values -- cached
-    construction is bit-identical to uncached (the equivalence test
-    locks this down).
-
-    The cache is bounded (default 4096 entries, evicting least-recently
-    used) and can be disabled globally (``PHANTOM_CACHE.enabled =
-    False``) to A/B against uncached construction.
-    """
-
-    def __init__(self, maxsize: int = 4096, enabled: bool = True) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, tuple[TrackKind, tuple[VehicleState, ...]]]
-        self._entries = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._entries)}
-
-    def build_missing(self, reference: list[VehicleState], area: int,
-                      road: Road, detection_range: float) -> TrackedVehicle:
-        if not self.enabled:
-            return _build_missing_uncached(reference, area, road,
-                                           detection_range)
-        key = (tuple(reference), area, road.num_lanes, detection_range)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            kind, history = cached
-            return TrackedVehicle(kind, list(history))
-        self.misses += 1
-        node = _build_missing_uncached(reference, area, road, detection_range)
-        self._entries[key] = (node.kind, tuple(node.history))
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return node
-
-
-#: Process-wide cache used by :func:`build_scene`.  VehicleState is a
-#: frozen dataclass, so shared cached states cannot be mutated through
-#: a returned scene.
-PHANTOM_CACHE = PhantomCache()
-
-
-def _build_missing_uncached(reference: list[VehicleState], area: int,
-                            road: Road, detection_range: float) -> TrackedVehicle:
+def _build_missing(reference: list[VehicleState], area: int,
+                   road: Road, detection_range: float) -> TrackedVehicle:
     kind = _missing_kind(reference[-1].lat, area, road)
     if kind is TrackKind.PHANTOM_INHERENT:
         history = _inherent_phantom(reference, area, road.num_lanes)
     else:
         history = _range_phantom(reference, area, detection_range)
     return TrackedVehicle(kind, history)
-
-
-def _build_missing(reference: list[VehicleState], area: int, road: Road,
-                   detection_range: float) -> TrackedVehicle:
-    return PHANTOM_CACHE.build_missing(reference, area, road, detection_range)
 
 
 def build_scene(ego_id: str, ego_history: list[VehicleState],

@@ -19,9 +19,8 @@ Per-vehicle state history is retained for the perception module.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import constants
@@ -75,20 +74,6 @@ class CollisionEvent:
     kind: str
 
 
-@dataclass
-class _LaneIndex:
-    """Sorted per-lane position index for leader/follower queries."""
-
-    positions: list[float] = field(default_factory=list)
-    vehicles: list[Vehicle] = field(default_factory=list)
-
-
-# Lane-sorted neighbor index; the leader/follower queries in
-# ``_step_vectorized`` and the six-area perception kernel share the
-# same lexsort-backed structure (see :mod:`repro.sim.spatial`).
-_SortedLanes = SpatialHash
-
-
 class SimulationEngine:
     """Owns vehicles and advances the world clock.
 
@@ -128,8 +113,10 @@ class SimulationEngine:
         self.collisions: list[CollisionEvent] = []
         self.retired: dict[str, Vehicle] = {}
         self._pending: dict[str, Maneuver] = {}
-        self._lane_index: dict[int, _LaneIndex] = {}
-        self._index_dirty = True
+        # Lane index over the live vehicles for the scalar queries; built
+        # on first use, dropped whenever a position or the population
+        # changes.
+        self._lane_hash: tuple[SpatialHash, list[Vehicle]] | None = None
         # Population generation: bumped on every add/remove/discard.
         # Caches keyed on it (sorted active list, static arrays) are
         # rebuilt only when the vehicle *set* changed, not per call.
@@ -178,7 +165,7 @@ class SimulationEngine:
 
     def _population_changed(self) -> None:
         self._generation += 1
-        self._index_dirty = True
+        self._lane_hash = None
         self._soa_cache = None
         self._profile_cache = None
 
@@ -200,54 +187,47 @@ class SimulationEngine:
             self._active_generation = self._generation
         return self._active_cache
 
-    def _rebuild_index(self) -> None:
-        self._lane_index = {lane: _LaneIndex() for lane in range(1, self.road.num_lanes + 1)}
-        for vehicle in self.vehicles.values():
-            index = self._lane_index.setdefault(vehicle.lane, _LaneIndex())
-            position = bisect.bisect_left(index.positions, vehicle.lon)
-            index.positions.insert(position, vehicle.lon)
-            index.vehicles.insert(position, vehicle)
-        self._index_dirty = False
+    def _lanes(self) -> tuple[SpatialHash, list[Vehicle]]:
+        """The lane index and the vehicle behind each of its rows.
 
-    def leader_in_lane(self, lane: int, lon: float, exclude: str | None = None) -> Vehicle | None:
+        Rows are the vehicles in reverse insertion order.  ``lexsort``
+        is stable, so an equal-longitude run keeps that order: a leader
+        query (first row of the run ahead) returns the last-inserted
+        vehicle and a follower query (last row of the run behind) the
+        first-inserted one.
+        """
+        if self._lane_hash is None:
+            vehicles = list(reversed(self.vehicles.values()))
+            count = len(vehicles)
+            lane = np.fromiter((vehicle.state.lat for vehicle in vehicles),
+                               dtype=np.int64, count=count)
+            lon = np.fromiter((vehicle.state.lon for vehicle in vehicles),
+                              dtype=np.float64, count=count)
+            self._lane_hash = (SpatialHash(lane, lon, self.road.num_lanes,
+                                           self._lane_targets), vehicles)
+        return self._lane_hash
+
+    def leader_in_lane(self, lane: int, lon: float) -> Vehicle | None:
         """Nearest vehicle strictly ahead of ``lon`` in ``lane``."""
-        if self._index_dirty:
-            self._rebuild_index()
-        index = self._lane_index.get(lane)
-        if index is None:
-            return None
-        position = bisect.bisect_right(index.positions, lon)
-        while position < len(index.vehicles):
-            candidate = index.vehicles[position]
-            if candidate.vid != exclude and candidate.lon > lon:
-                return candidate
-            position += 1
-        return None
+        index, vehicles = self._lanes()
+        row = index.leader(lane, lon)
+        return vehicles[row] if row >= 0 else None
 
-    def follower_in_lane(self, lane: int, lon: float, exclude: str | None = None) -> Vehicle | None:
+    def follower_in_lane(self, lane: int, lon: float) -> Vehicle | None:
         """Nearest vehicle strictly behind ``lon`` in ``lane``."""
-        if self._index_dirty:
-            self._rebuild_index()
-        index = self._lane_index.get(lane)
-        if index is None:
-            return None
-        position = bisect.bisect_left(index.positions, lon) - 1
-        while position >= 0:
-            candidate = index.vehicles[position]
-            if candidate.vid != exclude and candidate.lon < lon:
-                return candidate
-            position -= 1
-        return None
+        index, vehicles = self._lanes()
+        row = index.follower(lane, lon)
+        return vehicles[row] if row >= 0 else None
 
     def leader_of(self, vehicle: Vehicle, lane: int | None = None) -> Vehicle | None:
         """Leader of ``vehicle`` in its own (or a given) lane."""
         return self.leader_in_lane(lane if lane is not None else vehicle.lane,
-                                   vehicle.lon, exclude=vehicle.vid)
+                                   vehicle.lon)
 
     def follower_of(self, vehicle: Vehicle, lane: int | None = None) -> Vehicle | None:
         """Follower of ``vehicle`` in its own (or a given) lane."""
         return self.follower_in_lane(lane if lane is not None else vehicle.lane,
-                                     vehicle.lon, exclude=vehicle.vid)
+                                     vehicle.lon)
 
     # ------------------------------------------------------------------
     # control
@@ -306,9 +286,6 @@ class SimulationEngine:
         return self.rng.random((count, 2)) if count else None
 
     def _step_reference(self) -> list[CollisionEvent]:
-        if self._index_dirty:
-            self._rebuild_index()
-
         vehicles = self.active_vehicles()
         noise = self._dawdle_noise(sum(
             1 for vehicle in vehicles
@@ -462,7 +439,7 @@ class SimulationEngine:
 
         # One lane-sorted pass answers every neighbor query of the step:
         # own-lane leaders plus both adjacent-lane leader/follower pairs.
-        lanes = _SortedLanes(lane, lon, self.road.num_lanes, self._lane_targets)
+        lanes = SpatialHash(lane, lon, self.road.num_lanes, self._lane_targets)
         leaders3, followers3 = lanes.neighbors(
             np.concatenate((lane, lane - 1, lane + 1)),
             np.concatenate((lon, lon, lon)))
@@ -701,7 +678,7 @@ class SimulationEngine:
             vehicle.cooldown = cd_next
             past.append(state)
             record_state(state)
-        self._index_dirty = True
+        self._lane_hash = None
 
         # Crash detection on the advanced state: consecutive same-lane
         # pairs, lanes ascending then positions ascending.
@@ -861,7 +838,7 @@ class SimulationEngine:
                 v_min=v_floor, v_max=self.road.v_max)
             self.history[vid].append(vehicle.state)
 
-        self._index_dirty = True
+        self._lane_hash = None
         new_events.extend(self._detect_crashes())
 
         for vehicle in list(self.vehicles.values()):
@@ -871,11 +848,12 @@ class SimulationEngine:
         return new_events
 
     def _detect_crashes(self) -> list[CollisionEvent]:
-        if self._index_dirty:
-            self._rebuild_index()
+        index, vehicles = self._lanes()
         events: list[CollisionEvent] = []
-        for index in self._lane_index.values():
-            for follower, leader in zip(index.vehicles[:-1], index.vehicles[1:]):
+        for lane_no in range(1, index.num_lanes + 1):
+            rows = index.order[index.starts[lane_no - 1]:index.starts[lane_no]]
+            in_lane = [vehicles[row] for row in rows.tolist()]
+            for follower, leader in zip(in_lane[:-1], in_lane[1:]):
                 if follower.gap_to(leader) < 0.0:
                     event = CollisionEvent(self.step_count, follower.vid, leader.vid, "crash")
                     events.append(event)

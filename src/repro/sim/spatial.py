@@ -1,13 +1,14 @@
 """Lane-sorted spatial index with batched neighbor kernels.
 
-:class:`SpatialHash` generalizes the engine's former ``_SortedLanes``
-helper: one ``lexsort`` over ``(lane, lon)`` builds per-lane sorted
-segments, after which every neighbor query is a ``searchsorted`` on a
-contiguous slice.  Two query families share the index:
+:class:`SpatialHash` is the one lane index of the package: one
+``lexsort`` over ``(lane, lon)`` builds per-lane sorted segments, after
+which every neighbor query is a ``searchsorted`` on a contiguous slice.
+Two query families share the index:
 
-``neighbors``
-    Nearest same-lane leader/follower per query row — the engine's
-    car-following topology (strictly ahead / strictly behind).
+``neighbors`` / ``leader`` / ``follower``
+    Nearest same-lane leader/follower per query row (batched) or for
+    one position (scalar) — the engine's car-following topology
+    (strictly ahead / strictly behind).
 
 ``six_area_neighbors``
     The paper's six key areas (Fig. 2) for *M* centers at once,
@@ -112,6 +113,27 @@ class SpatialHash:
             leader[mask] = ids[segment.searchsorted(lon_in_lane, side="right")]
             follower[mask] = ids[segment.searchsorted(lon_in_lane, side="left") - 1]
         return leader, follower
+
+    def _segment(self, lane_no: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted longitudes of one lane and their ids plus the sentinel."""
+        start = self.starts[lane_no - 1]
+        stop = self.starts[lane_no]
+        return (self.sorted_lon[start:stop],
+                self._ids_with_sentinel(lane_no, start, stop))
+
+    def leader(self, lane_no: int, lon: float) -> int:
+        """Row of the nearest vehicle strictly ahead of ``lon`` (-1 when none)."""
+        if lane_no < 1 or lane_no > self.num_lanes:
+            return NO_NEIGHBOR
+        segment, ids = self._segment(lane_no)
+        return int(ids[segment.searchsorted(lon, side="right")])
+
+    def follower(self, lane_no: int, lon: float) -> int:
+        """Row of the nearest vehicle strictly behind ``lon`` (-1 when none)."""
+        if lane_no < 1 or lane_no > self.num_lanes:
+            return NO_NEIGHBOR
+        segment, ids = self._segment(lane_no)
+        return int(ids[segment.searchsorted(lon, side="left") - 1])
 
     def _lane_pass(self, query_lane: np.ndarray, query_lon: np.ndarray,
                    inclusive_rear: bool) -> tuple[np.ndarray, np.ndarray]:

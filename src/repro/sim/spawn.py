@@ -46,21 +46,30 @@ def random_profile(rng: np.random.Generator, road: Road) -> DriverProfile:
 def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
                      density_per_km: float = constants.DENSITY_PER_KM,
                      keep_clear: tuple[int, float, float] | None = None) -> list[Vehicle]:
-    """Fill the road with conventional vehicles at the target density.
+    """Fill an empty road with conventional vehicles at the target density.
 
     Vehicles are spread across lanes with jittered spacing and speeds
     near their desired speed.  ``keep_clear=(lane, lon_min, lon_max)``
     reserves space (on every lane around the AV spawn) so insertion of
     the autonomous vehicle cannot start inside a platoon.
+
+    A lane's slots come out in increasing longitude (the jitter is under
+    half the spacing), so a candidate can only overlap the vehicle last
+    placed in its lane; raises ``ValueError`` on a populated engine,
+    whose vehicles this placement would not see.
     """
+    if engine.vehicles:
+        raise ValueError("populate_traffic needs an empty engine")
     road = engine.road
     total = int(round(density_per_km * road.length / 1000.0))
     per_lane = max(total // road.num_lanes, 1)
     spacing = road.length / per_lane
+    min_space = constants.VEHICLE_LENGTH + 1.0
     created: list[Vehicle] = []
     counter = 0
     for lane in range(1, road.num_lanes + 1):
         offset = rng.uniform(0.0, spacing)
+        previous: float | None = None
         for slot in range(per_lane):
             lon = offset + slot * spacing + rng.uniform(-0.25, 0.25) * spacing
             lon = float(np.clip(lon, 0.0, road.length - 1.0))
@@ -69,21 +78,15 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
             profile = random_profile(rng, road)
             velocity = float(np.clip(profile.desired_speed * rng.uniform(0.7, 1.0),
                                      road.v_min, road.v_max))
-            vehicle = Vehicle(
+            # Skip placements that would overlap the previous vehicle.
+            if previous is not None and lon - previous < min_space:
+                continue
+            created.append(engine.add_vehicle(Vehicle(
                 vid=f"cv{counter}",
                 state=VehicleState(lat=lane, lon=lon, v=velocity),
                 profile=profile,
-            )
-            # Skip placements that would overlap an existing vehicle.
-            leader = engine.leader_in_lane(lane, lon)
-            follower = engine.follower_in_lane(lane, lon)
-            min_space = constants.VEHICLE_LENGTH + 1.0
-            if leader is not None and leader.lon - lon < min_space:
-                continue
-            if follower is not None and lon - follower.lon < min_space:
-                continue
-            engine.add_vehicle(vehicle)
-            created.append(vehicle)
+            )))
+            previous = lon
             counter += 1
     _equilibrate_speeds(engine, created)
     return created

@@ -31,18 +31,6 @@ class VehicleState:
     lon: float
     v: float
 
-    def __hash__(self) -> int:
-        # States are hashed repeatedly as phantom-cache key components
-        # (once per scene they appear in); the instance is immutable, so
-        # cache the field-tuple hash on first use.  Equality semantics
-        # are unchanged -- this is the same hash the generated method
-        # would return.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.lat, self.lon, self.v))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
     def advanced(self, lane_delta: int, accel: float, dt: float = constants.DT,
                  v_min: float = 0.0, v_max: float = constants.V_MAX) -> "VehicleState":
         """Return the next state under Eq. 18 kinematics.
