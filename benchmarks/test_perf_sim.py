@@ -1,24 +1,34 @@
-"""Microbenchmark: vectorized vs scalar simulation step (BENCH_sim.json).
+"""Microbenchmarks: scalar vs fast simulation paths (BENCH_sim.json).
 
-Times the canonical hot-path workload -- ``dense_platoon`` with 30
-conventional vehicles stepped 200 times -- under both the scalar
-reference loop (``reference=True``) and the vectorized default, after
-first asserting the two produce bit-identical trajectories and
-collision records for the entire run.
+Two cases, each timed only after asserting bit-identity:
 
-Measurement is interleaved (scalar, vectorized, scalar, ...) and the
-reported speedup is the ratio of best-of-N wall times, which is robust
-to the machine-noise spikes that plague mean-of-N on shared hardware
-(see ``benchmarks/_bench_io.py`` for the shared methodology helpers).
-The result is written to ``BENCH_sim.json`` at the repo root.
+- ``step``: the canonical hot-path workload -- ``dense_platoon`` with
+  30 conventional vehicles stepped 200 times -- under the scalar
+  reference loop (``reference=True``) and the vectorized default, whose
+  trajectories and collision records must match for the entire run;
+- ``reset``: ``build_episode`` on the paper's 3 km road at 180 veh/km,
+  with the scalar spawn oracle (``tests/oracles/spawn.py``) against the
+  block-drawn ``populate_traffic``, whose worlds and generator states
+  must match.
+
+Measurement is interleaved (scalar, fast, scalar, ...) and the reported
+speedup is the ratio of best-of-N wall times, which is robust to the
+machine-noise spikes that plague mean-of-N on shared hardware (see
+``benchmarks/_bench_io.py`` for the shared methodology helpers).  The
+cases that ran are written together to ``BENCH_sim.json`` at the repo
+root; the speedup gates are informational in CI.
 """
 
 import time
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import interleaved_best, write_bench
+from repro.sim import Road, build_episode
 from repro.sim.scenarios import dense_platoon
+from tests.oracles import spawn as spawn_oracle
 
 pytestmark = pytest.mark.perf
 
@@ -26,6 +36,17 @@ STEPS = 200
 SIZE = 30
 SEED = 7
 REPEATS = 8
+
+RESET = {"road_m": 3000.0, "density_per_km": 180, "seeds": 5, "repeats": 8}
+
+#: Cases measured in this pytest run, written together to BENCH_sim.json.
+RESULTS: dict[str, dict] = {}
+
+
+def record(case: str, result: dict) -> Path:
+    RESULTS[case] = result
+    return write_bench("sim", dict(RESULTS),
+                       config={name: RESULTS[name]["workload"] for name in RESULTS})
 
 
 def trace(reference: bool):
@@ -76,9 +97,45 @@ def test_vectorized_speedup():
         "scalar_times_s": scalar_times,
         "vectorized_times_s": vector_times,
     }
-    path = write_bench("sim", result, config=result["workload"])
+    path = record("step", result)
     print(f"\nBENCH_sim: scalar {result['scalar_per_step_us']:.0f}us/step, "
           f"vectorized {result['vectorized_per_step_us']:.0f}us/step, "
           f"speedup {speedup:.2f}x -> {path.name}")
 
     assert speedup >= 3.0, f"vectorized speedup {speedup:.2f}x below 3x target"
+
+
+def spawned_world(engine):
+    return ([(vehicle.vid, vehicle.lane, vehicle.lon, vehicle.v,
+              astuple(vehicle.profile)) for vehicle in engine.vehicles.values()],
+            engine.rng.bit_generator.state)
+
+
+def test_block_drawn_reset_speedup():
+    road = Road(length=RESET["road_m"])
+    density = RESET["density_per_km"]
+    seeds = range(RESET["seeds"])
+    for seed in seeds:
+        engine, _ = build_episode(seed, road=road, density_per_km=density)
+        assert spawned_world(engine) == spawned_world(
+            spawn_oracle.build_episode(seed, road, density)), seed
+
+    best = interleaved_best({
+        "scalar": lambda: [spawn_oracle.build_episode(seed, road, density)
+                           for seed in seeds],
+        "block": lambda: [build_episode(seed, road=road, density_per_km=density)
+                          for seed in seeds],
+    }, repeats=RESET["repeats"])
+    speedup = best["scalar"] / best["block"]
+    path = record("reset", {
+        "workload": {"scenario": "build_episode", **RESET},
+        "bit_identical": True,
+        "scalar_per_reset_ms": best["scalar"] / len(seeds) * 1e3,
+        "block_per_reset_ms": best["block"] / len(seeds) * 1e3,
+        "speedup": speedup,
+    })
+    print(f"\nBENCH_sim reset: scalar {best['scalar'] / len(seeds) * 1e3:.1f}ms, "
+          f"block {best['block'] / len(seeds) * 1e3:.1f}ms, "
+          f"speedup {speedup:.2f}x -> {path.name}")
+
+    assert speedup >= 2.0, f"block-drawn reset speedup {speedup:.2f}x below 2x target"

@@ -52,6 +52,14 @@ _ZERO = np.array([0.0])
 _HALF_DT_SQ = 0.5 * constants.DT * constants.DT
 
 
+def _drop_rows(items: list, rows: list[int]) -> list:
+    """A copy of ``items`` without the ascending positions ``rows``."""
+    kept = items.copy()
+    for row in reversed(rows):
+        del kept[row]
+    return kept
+
+
 @dataclass(frozen=True)
 class Maneuver:
     """External maneuver command: lane delta in {-1, 0, +1} and acceleration."""
@@ -117,9 +125,10 @@ class SimulationEngine:
         # on first use, dropped whenever a position or the population
         # changes.
         self._lane_hash: tuple[SpatialHash, list[Vehicle]] | None = None
-        # Population generation: bumped on every add/remove/discard.
-        # Caches keyed on it (sorted active list, static arrays) are
-        # rebuilt only when the vehicle *set* changed, not per call.
+        # Population generation: bumped on every add/remove/discard and
+        # retirement.  Caches keyed on it (sorted active list, static
+        # arrays) are rebuilt after add/remove/discard and compacted in
+        # place of a rebuild when a step retires vehicles.
         self._generation = 0
         self._active_cache: list[Vehicle] = []
         self._active_generation = -1
@@ -371,8 +380,8 @@ class SimulationEngine:
         new_events: list[CollisionEvent] = []
         # SoA carryover: the arrays written at the end of the previous
         # step double as this step's input, skipping the object gather.
-        # Valid only while the population is unchanged (the add/remove
-        # paths null it) and no external code replaced a state or
+        # Retirement compacts it (see _retire); add/remove/discard null
+        # it.  Valid only while no external code replaced a state or
         # cooldown in between (checked by object identity / value below).
         cached = self._soa_cache
         if cached is not None \
@@ -383,10 +392,6 @@ class SimulationEngine:
         else:
             vehicles = self.active_vehicles()
             count = len(vehicles)
-            if count == 0:
-                self._pending.clear()
-                self.step_count += 1
-                return new_events
             lane = np.fromiter((vehicle.state.lat for vehicle in vehicles),
                                dtype=np.int64, count=count)
             lon = np.fromiter((vehicle.state.lon for vehicle in vehicles),
@@ -396,6 +401,10 @@ class SimulationEngine:
             cooldown = np.fromiter((vehicle.cooldown for vehicle in vehicles),
                                    dtype=np.int64, count=count)
             deques = [self.history[vehicle.vid] for vehicle in vehicles]
+        if count == 0:
+            self._pending.clear()
+            self.step_count += 1
+            return new_events
         length, is_av, v_floor, not_av, has_av = self._static_arrays(vehicles)
         profiles = self._profile_cache
         if profiles is None:
@@ -696,20 +705,47 @@ class SimulationEngine:
             new_events.append(event)
             self.collisions.append(event)
 
-        if float(new_lon.max()) >= self.road.length:
-            for vehicle in list(self.vehicles.values()):
-                if vehicle.lon >= self.road.length:
-                    vehicle.finish_time = self.step_count + 1
-                    self.remove_vehicle(vehicle.vid)
-        else:
-            # Nobody retired: the arrays just written back are next
-            # step's inputs (retirement clears _soa_cache instead).
-            self._soa_cache = (vehicles, states, target, new_lon, new_v,
-                               cooldown, cooldown_list, deques)
+        # The arrays just written back are next step's inputs.
+        soa = (vehicles, states, target, new_lon, new_v, cooldown,
+               cooldown_list, deques)
+        finished = new_lon >= self.road.length
+        if finished.any():
+            soa = self._retire(finished, soa, profiles)
+        self._soa_cache = soa
 
         self._pending.clear()
         self.step_count += 1
         return new_events
+
+    def _retire(self, finished: np.ndarray, soa: tuple,
+                profiles: ProfileArrays) -> tuple:
+        """Retire the ``finished`` rows and compact the step caches.
+
+        Deleting rows keeps sorted-vid order, so the active list, static
+        arrays, profile columns and SoA tuple left behind equal what a
+        fresh gather over the survivors would build; the next step skips
+        that O(N) walk over vehicle objects.  Returns the compacted SoA.
+        """
+        vehicles = soa[0]
+        gone = np.flatnonzero(finished).tolist()
+        for row in gone:
+            vehicle = vehicles[row]
+            vehicle.finish_time = self.step_count + 1
+            del self.vehicles[vehicle.vid]
+            self.retired[vehicle.vid] = vehicle
+        keep = ~finished
+        soa = tuple(_drop_rows(part, gone) if isinstance(part, list) else part[keep]
+                    for part in soa)
+        length, is_av, v_floor, not_av, _ = self._static_cache
+        is_av = is_av[keep]
+        self._generation += 1
+        self._active_cache = soa[0]
+        self._active_generation = self._generation
+        self._static_cache = (length[keep], is_av, v_floor[keep], not_av[keep],
+                              bool(is_av.any()))
+        self._static_generation = self._generation
+        self._profile_cache = profiles.take(keep)
+        return soa
 
     @staticmethod
     def _emergency_brake(vehicle: Vehicle, leader: Vehicle | None,
@@ -841,7 +877,8 @@ class SimulationEngine:
         self._lane_hash = None
         new_events.extend(self._detect_crashes())
 
-        for vehicle in list(self.vehicles.values()):
+        # Sorted-vid order, as the vectorized step retires.
+        for vehicle in self.active_vehicles():
             if vehicle.lon >= self.road.length:
                 vehicle.finish_time = self.step_count + 1
                 self.remove_vehicle(vehicle.vid)

@@ -25,33 +25,85 @@ __all__ = ["random_profile", "populate_traffic", "insert_autonomous_vehicle",
 SPAWN_CLEARANCE = 30.0
 
 
+#: Uniform draw bounds ``(low, high)`` of one spawned conventional
+#: vehicle, in stream order: slot jitter (fraction of the lane spacing),
+#: the eight :class:`DriverProfile` fields in declaration order (desired
+#: speed as a fraction of ``v_max``), and the initial speed as a fraction
+#: of the desired speed.  A unit draw ``u`` maps to ``low + (high - low)
+#: * u``, the formula ``Generator.uniform`` evaluates, so array and
+#: scalar draws give the same bits.
+_SPAWN_BOUNDS = np.array([
+    (-0.25, 0.25),   # slot jitter
+    (0.75, 1.0),     # desired_speed / v_max
+    (1.0, 2.0),      # time_headway
+    (1.5, 3.0),      # min_gap
+    (1.5, 2.5),      # max_accel
+    (2.0, 3.0),      # comfort_decel
+    (0.1, 0.5),      # politeness
+    (0.1, 0.4),      # lane_change_threshold
+    (0.0, 0.12),     # imperfection
+    (0.7, 1.0),      # initial speed / desired speed
+])
+_LOW = _SPAWN_BOUNDS[:, 0]
+_SPAN = _SPAWN_BOUNDS[:, 1] - _LOW
+_DRAWS = len(_SPAWN_BOUNDS)
+_PROFILE = slice(1, 9)
+
+
 def random_profile(rng: np.random.Generator, road: Road) -> DriverProfile:
     """Draw a heterogeneous human-driver profile.
 
     Desired speeds spread around 80-100% of the limit; headways, gaps
     and politeness vary so lane-change pressure differs per driver.
     """
-    return DriverProfile(
-        desired_speed=float(rng.uniform(0.75, 1.0) * road.v_max),
-        time_headway=float(rng.uniform(1.0, 2.0)),
-        min_gap=float(rng.uniform(1.5, 3.0)),
-        max_accel=float(rng.uniform(1.5, 2.5)),
-        comfort_decel=float(rng.uniform(2.0, 3.0)),
-        politeness=float(rng.uniform(0.1, 0.5)),
-        lane_change_threshold=float(rng.uniform(0.1, 0.4)),
-        imperfection=float(rng.uniform(0.0, 0.12)),
-    )
+    values = (_LOW[_PROFILE] + _SPAN[_PROFILE] * rng.random(8)).tolist()
+    values[0] *= road.v_max
+    return DriverProfile(*values)
+
+
+def _slot_lon(offset: float, slot, spacing: float, top: float, unit_jitter):
+    """Clipped longitude of lane slot(s) ``slot`` from unit jitter draw(s)."""
+    jitter = _LOW[0] + _SPAN[0] * unit_jitter
+    return np.minimum(np.maximum(offset + slot * spacing + jitter * spacing, 0.0), top)
+
+
+def _window_slots(offset: float, spacing: float, per_lane: int, top: float,
+                  keep_clear: tuple[float, float] | None) -> tuple[int, int]:
+    """The run ``[first, stop)`` of a lane's slots that could land in ``keep_clear``.
+
+    A slot's jitter reaches a quarter spacing either way; the reach is
+    widened by a billionth of the road so rounding cannot put a slot
+    outside it.  Both ends of the reach grow with the slot index, so
+    the slots that reach the window are contiguous.  No window, or none
+    reaching it, gives the empty run ``[per_lane, per_lane)``.
+    """
+    if keep_clear is None:
+        return per_lane, per_lane
+    slots = np.arange(per_lane)
+    margin = 1e-9 * (top + 1.0)
+    low = np.maximum(offset + (slots - 0.25) * spacing - margin, 0.0)
+    high = np.minimum(offset + (slots + 0.25) * spacing + margin, top)
+    reach = np.flatnonzero((high >= keep_clear[0]) & (low <= keep_clear[1]))
+    if reach.size == 0:
+        return per_lane, per_lane
+    return int(reach[0]), int(reach[-1]) + 1
 
 
 def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
                      density_per_km: float = constants.DENSITY_PER_KM,
-                     keep_clear: tuple[int, float, float] | None = None) -> list[Vehicle]:
+                     keep_clear: tuple[float, float] | None = None) -> list[Vehicle]:
     """Fill an empty road with conventional vehicles at the target density.
 
     Vehicles are spread across lanes with jittered spacing and speeds
-    near their desired speed.  ``keep_clear=(lane, lon_min, lon_max)``
-    reserves space (on every lane around the AV spawn) so insertion of
-    the autonomous vehicle cannot start inside a platoon.
+    near their desired speed.  ``keep_clear=(lon_min, lon_max)``
+    reserves that stretch on every lane, so insertion of the autonomous
+    vehicle cannot start inside a platoon.
+
+    Each slot draws the ten uniforms of ``_SPAWN_BOUNDS`` in order,
+    except that a slot landing in ``keep_clear`` stops after its
+    jitter.  Slots that cannot reach the window draw as one
+    ``(n, 10)`` block, which consumes the stream exactly as the
+    slot-by-slot draws would; the few that can draw one at a time.
 
     A lane's slots come out in increasing longitude (the jitter is under
     half the spacing), so a candidate can only overlap the vehicle last
@@ -65,29 +117,39 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
     per_lane = max(total // road.num_lanes, 1)
     spacing = road.length / per_lane
     min_space = constants.VEHICLE_LENGTH + 1.0
+    top = road.length - 1.0
     created: list[Vehicle] = []
-    counter = 0
     for lane in range(1, road.num_lanes + 1):
         offset = rng.uniform(0.0, spacing)
-        previous: float | None = None
-        for slot in range(per_lane):
-            lon = offset + slot * spacing + rng.uniform(-0.25, 0.25) * spacing
-            lon = float(np.clip(lon, 0.0, road.length - 1.0))
-            if keep_clear is not None and keep_clear[1] <= lon <= keep_clear[2]:
+        first, stop = _window_slots(offset, spacing, per_lane, top, keep_clear)
+        slots = list(range(first))
+        units = [rng.random((first, _DRAWS))]
+        for slot in range(first, stop):
+            jitter = rng.random()
+            if keep_clear[0] <= _slot_lon(offset, slot, spacing, top, jitter) <= keep_clear[1]:
                 continue
-            profile = random_profile(rng, road)
-            velocity = float(np.clip(profile.desired_speed * rng.uniform(0.7, 1.0),
-                                     road.v_min, road.v_max))
+            slots.append(slot)
+            units.append(np.append(jitter, rng.random(_DRAWS - 1))[np.newaxis])
+        slots.extend(range(stop, per_lane))
+        units.append(rng.random((per_lane - stop, _DRAWS)))
+        unit = np.concatenate(units)
+        lon = _slot_lon(offset, np.array(slots), spacing, top, unit[:, 0])
+        values = _LOW + _SPAN * unit
+        values[:, 1] *= road.v_max
+        velocity = np.minimum(np.maximum(values[:, 1] * values[:, 9], road.v_min),
+                              road.v_max)
+        previous: float | None = None
+        for lon_next, fields, v_next in zip(lon.tolist(), values[:, _PROFILE].tolist(),
+                                            velocity.tolist()):
             # Skip placements that would overlap the previous vehicle.
-            if previous is not None and lon - previous < min_space:
+            if previous is not None and lon_next - previous < min_space:
                 continue
             created.append(engine.add_vehicle(Vehicle(
-                vid=f"cv{counter}",
-                state=VehicleState(lat=lane, lon=lon, v=velocity),
-                profile=profile,
+                vid=f"cv{len(created)}",
+                state=VehicleState(lat=lane, lon=lon_next, v=v_next),
+                profile=DriverProfile(*fields),
             )))
-            previous = lon
-            counter += 1
+            previous = lon_next
     _equilibrate_speeds(engine, created)
     return created
 
@@ -142,7 +204,7 @@ def replenish_traffic(engine: SimulationEngine, rng: np.random.Generator,
         # Enter no faster than is safe for the available headway.
         v_entry = min(profile.desired_speed,
                       leader.v + max(clear - profile.min_gap, 0.0) / 2.0 if leader else road.v_max)
-        v_entry = float(np.clip(v_entry, road.v_min, road.v_max))
+        v_entry = road.clamp_speed(v_entry)
         vehicle = Vehicle(
             vid=f"in{engine.step_count}_{lane}",
             state=VehicleState(lat=lane, lon=0.0, v=v_entry),
@@ -227,8 +289,7 @@ def build_fleet_episode(seed: int, road: Road | None = None,
     engine = SimulationEngine(road=road or Road(), car_following=car_following,
                               rng=rng, history_length=history_length,
                               reference=reference)
-    populate_traffic(engine, rng, density_per_km,
-                     keep_clear=(0, 0.0, SPAWN_CLEARANCE))
+    populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
     fleet = insert_autonomous_fleet(engine, rng, num_avs)
     return engine, fleet
 
@@ -249,8 +310,6 @@ def build_episode(seed: int, road: Road | None = None,
     engine = SimulationEngine(road=road or Road(), car_following=car_following,
                               rng=rng, history_length=history_length,
                               reference=reference)
-    lane_guess = None
-    populate_traffic(engine, rng, density_per_km,
-                     keep_clear=(lane_guess or 0, 0.0, SPAWN_CLEARANCE))
+    populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
     autonomous = insert_autonomous_vehicle(engine, rng)
     return engine, autonomous

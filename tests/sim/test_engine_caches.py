@@ -3,14 +3,23 @@
 ``active_vehicles()`` and ``_static_arrays()`` are O(N log N) / O(N)
 gathers that the fleet step would otherwise repeat for every AV; the
 engine memoizes both behind ``_generation``, which bumps on every
-add/remove/discard.  These tests pin the caching contract: identical
-objects back while the population is unchanged, correct fresh values
-after any population edit, and no staleness across engine steps.
+add/remove/discard and retirement.  These tests pin the caching
+contract: identical objects back while the population is unchanged,
+correct fresh values after any population edit, and no staleness
+across engine steps.  A step that retires vehicles compacts the
+caches instead of dropping them; the compacted caches must equal a
+fresh gather bit for bit.
 """
 
+from dataclasses import fields
+from functools import cached_property
+
+import numpy as np
+
+from repro.sim import build_episode, constants
 from repro.sim.engine import SimulationEngine
 from repro.sim.road import Road
-from repro.sim.vehicle import Vehicle, VehicleState
+from repro.sim.vehicle import ProfileArrays, Vehicle, VehicleState
 
 
 def make_engine(count=5):
@@ -88,3 +97,89 @@ def test_stepping_never_serves_stale_population():
         if not engine.vehicles:
             break
     assert engine.retired  # the short road actually exercised removal
+
+
+PROFILE_COLUMNS = [field.name for field in fields(ProfileArrays)] + [
+    name for name, attribute in vars(ProfileArrays).items()
+    if isinstance(attribute, cached_property)]
+
+
+def same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (actual.dtype == expected.dtype and actual.shape == expected.shape
+            and actual.tobytes() == expected.tobytes())
+
+
+def assert_caches_match_fresh_gather(engine):
+    vehicles = engine.active_vehicles()
+    assert [vehicle.vid for vehicle in vehicles] == sorted(engine.vehicles)
+    if not vehicles:
+        return
+    assert engine._static_generation == engine._generation
+    compacted = engine._static_cache
+    engine._static_generation = -1
+    fresh = engine._static_arrays(vehicles)
+    engine._static_cache = compacted
+    engine._static_generation = engine._generation
+    for actual, expected in zip(compacted[:4], fresh[:4]):
+        assert same_bits(actual, expected)
+    assert compacted[4] is fresh[4]
+
+    profiles = engine._profile_cache
+    fresh_profiles = ProfileArrays.from_profiles(
+        vehicle.profile for vehicle in vehicles)
+    for name in PROFILE_COLUMNS:
+        assert same_bits(getattr(profiles, name), getattr(fresh_profiles, name)), name
+
+    soa_vehicles, states, lane, lon, v, cooldown, cooldown_list, deques = \
+        engine._soa_cache
+    assert soa_vehicles == vehicles
+    assert all(state is vehicle.state for state, vehicle in zip(states, vehicles))
+    assert len(states) == len(vehicles)
+    assert same_bits(lane, [vehicle.lane for vehicle in vehicles])
+    assert same_bits(lon, [vehicle.lon for vehicle in vehicles])
+    assert same_bits(v, [vehicle.v for vehicle in vehicles])
+    assert same_bits(cooldown, [vehicle.cooldown for vehicle in vehicles])
+    assert cooldown_list == [vehicle.cooldown for vehicle in vehicles]
+    assert all(past is engine.history[vehicle.vid]
+               for past, vehicle in zip(deques, vehicles))
+    assert len(deques) == len(vehicles)
+
+
+def test_retirement_compacts_caches_to_a_fresh_gather(monkeypatch):
+    """A short crowded road retires vehicles on nearly every step; the AV
+    (driven at full throttle) retires mid-run, and one profile is
+    rewritten plus ``invalidate_profiles()`` called half way."""
+    gathers = []
+    gather = ProfileArrays.from_profiles
+
+    def counting(cls, profiles):
+        gathers.append(1)
+        return gather(profiles)
+
+    monkeypatch.setattr(ProfileArrays, "from_profiles", classmethod(counting))
+    engine, _ = build_episode(3, road=Road(length=200.0), density_per_km=400)
+    retiring_steps = 0
+    for step in range(40):
+        invalidated = step == 8
+        if invalidated:
+            vehicle = engine.active_vehicles()[0]
+            vehicle.profile.desired_speed *= 0.5
+            engine.invalidate_profiles()
+        if "av" in engine.vehicles:
+            engine.set_maneuver("av", 0, constants.A_MAX)
+        before = set(engine.vehicles)
+        gathers.clear()
+        engine.step()
+        assert set(engine.vehicles) <= before
+        retired = before - set(engine.vehicles)
+        retiring_steps += bool(retired)
+        if step > 0 and before:
+            # Retirement is the only population change: never regather.
+            assert len(gathers) == int(invalidated)
+        assert_caches_match_fresh_gather(engine)
+        if "av" in retired:
+            assert engine.vehicles and not engine._static_cache[4]
+    assert "av" in engine.retired
+    assert not engine.vehicles
+    assert retiring_steps >= 20
