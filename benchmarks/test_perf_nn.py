@@ -3,7 +3,7 @@
 Times one full LST-GAT training step (forward + masked-MSE backward) at
 the paper's scale (z=5 history steps, 6 targets, 64-dim attention and
 LSTM) on the **live** engine and on the frozen pre-refactor engine in
-``repro.nn.reference``, after asserting the two produce the identical
+``tests/oracles/nn.py``, after asserting the two produce the identical
 loss and matching parameter gradients on the exact benchmark workload.
 Per-op throughput for the hottest registry primitives is reported
 alongside.  Results land in ``BENCH_nn.json`` at the repo root.
@@ -23,7 +23,7 @@ import pytest
 from _bench_io import best_of, interleaved_best, write_bench
 from repro import nn
 from repro.nn.recurrent import lstm_sequence
-from repro.nn.reference import legacy_lstgat_step
+from tests.oracles.nn import legacy_lstgat_step
 from repro.perception.graph import SpatialTemporalGraph
 from repro.perception.lstgat import LSTGAT
 

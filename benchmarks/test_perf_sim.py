@@ -3,9 +3,10 @@
 Two cases, each timed only after asserting bit-identity:
 
 - ``step``: the canonical hot-path workload -- ``dense_platoon`` with
-  30 conventional vehicles stepped 200 times -- under the scalar
-  reference loop (``reference=True``) and the vectorized default, whose
-  trajectories and collision records must match for the entire run;
+  30 conventional vehicles stepped 200 times -- under the scalar engine
+  oracle (``tests/oracles/engine.py``) and the library's vectorized
+  step, whose trajectories and collision records must match for the
+  entire run;
 - ``reset``: ``build_episode`` on the paper's 3 km road at 180 veh/km,
   with the scalar spawn oracle (``tests/oracles/spawn.py``) against the
   block-drawn ``populate_traffic``, whose worlds and generator states
@@ -29,6 +30,7 @@ from _bench_io import interleaved_best, write_bench
 from repro.sim import Road, build_episode
 from repro.sim.scenarios import dense_platoon
 from tests.oracles import spawn as spawn_oracle
+from tests.oracles.engine import as_scalar
 
 pytestmark = pytest.mark.perf
 
@@ -49,9 +51,14 @@ def record(case: str, result: dict) -> Path:
                        config={name: RESULTS[name]["workload"] for name in RESULTS})
 
 
-def trace(reference: bool):
+def workload(scalar: bool):
+    engine = dense_platoon(seed=SEED, size=SIZE)
+    return as_scalar(engine) if scalar else engine
+
+
+def trace(scalar: bool):
     """Full per-step trajectory of the workload, for exact comparison."""
-    engine = dense_platoon(seed=SEED, size=SIZE, reference=reference)
+    engine = workload(scalar)
     states = []
     for _ in range(STEPS):
         engine.step()
@@ -61,9 +68,9 @@ def trace(reference: bool):
     return states, list(engine.collisions)
 
 
-def timed_run(reference: bool) -> float:
+def timed_run(scalar: bool) -> float:
     """Wall time of stepping the workload once (engine build excluded)."""
-    engine = dense_platoon(seed=SEED, size=SIZE, reference=reference)
+    engine = workload(scalar)
     start = time.perf_counter()
     for _ in range(STEPS):
         engine.step()
@@ -71,15 +78,15 @@ def timed_run(reference: bool) -> float:
 
 
 def test_vectorized_speedup():
-    ref_trace, ref_collisions = trace(reference=True)
-    vec_trace, vec_collisions = trace(reference=False)
+    ref_trace, ref_collisions = trace(scalar=True)
+    vec_trace, vec_collisions = trace(scalar=False)
     assert vec_trace == ref_trace, "vectorized trajectories diverged"
     assert vec_collisions == ref_collisions
 
     scalar_times, vector_times = [], []
     for _ in range(REPEATS):
-        scalar_times.append(timed_run(reference=True))
-        vector_times.append(timed_run(reference=False))
+        scalar_times.append(timed_run(scalar=True))
+        vector_times.append(timed_run(scalar=False))
 
     scalar_best = min(scalar_times)
     vector_best = min(vector_times)

@@ -384,7 +384,7 @@ class TapeOpContract(Rule):
     """Structural contract for ops that record work on the tape.
 
     Two recording styles exist.  Closure-style ops (the frozen legacy
-    engine in ``repro.nn.reference``) assign ``out._backward``; they
+    engine in ``tests/oracles/nn.py``) assign ``out._backward``; they
     must (a) declare their inputs by building ``out`` through
     ``_make_child(data, parents)`` in the same function -- that is what
     registers parent shapes on the tape and routes gradients -- (b)

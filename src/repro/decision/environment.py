@@ -19,9 +19,8 @@ from ..perception.module import EnhancedPerception, PerceptionFrame
 from ..sim import constants
 from ..sim.engine import SimulationEngine
 from ..sim.road import Road
-from ..sim.spawn import build_episode
 from ..sim.vehicle import Vehicle
-from .pamdp import AugmentedState, ParameterizedAction, build_augmented_state
+from .pamdp import AugmentedState, ParameterizedAction
 from .reward import HybridReward, RewardBreakdown, StepOutcome
 
 __all__ = ["StepRecord", "EpisodeResult", "DrivingEnv",
@@ -63,8 +62,18 @@ class EpisodeResult:
         return self.total_reward / max(len(self.records), 1)
 
 
+def _fleet_attribute(name: str) -> property:
+    """Read/write view of the wrapped fleet's attribute ``name``."""
+    return property(lambda env: getattr(env.fleet, name),
+                    lambda env, value: setattr(env.fleet, name, value))
+
+
 class DrivingEnv:
     """Gym-style driving environment solving the paper's PAMDP.
+
+    The one-AV view of :class:`~repro.decision.fleet.FleetEnv`: every
+    call goes to a one-member fleet (``fleet``) and unpacks its
+    ``"av"`` entries, so single-AV and fleet episodes run the same step.
 
     Parameters
     ----------
@@ -76,9 +85,6 @@ class DrivingEnv:
         Episode geometry and traffic volume.
     max_steps:
         Hard episode cap (guards against stalled policies).
-    reference:
-        Step episodes with the scalar reference engine instead of the
-        (bit-identical) vectorized path; used by equivalence tests.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector` applying
         actuator faults to every commanded action; it is reset with the
@@ -91,115 +97,63 @@ class DrivingEnv:
 
     AV_ID = "av"
 
+    road = _fleet_attribute("road")
+    density_per_km = _fleet_attribute("density_per_km")
+    max_steps = _fleet_attribute("max_steps")
+    reward = _fleet_attribute("reward")
+    faults = _fleet_attribute("faults")
+
     def __init__(self, perception: EnhancedPerception,
                  reward: HybridReward | None = None,
                  road: Road | None = None,
                  density_per_km: float = constants.DENSITY_PER_KM,
                  max_steps: int = 2000,
-                 reference: bool = False,
                  faults=None) -> None:
-        self.perception = perception
-        self.reward = reward or HybridReward()
-        self.road = road or Road()
-        self.density_per_km = density_per_km
-        self.max_steps = max_steps
-        self.reference = reference
-        self.faults = faults
-        self.engine: SimulationEngine | None = None
-        self.result = EpisodeResult()
-        self._frame: PerceptionFrame | None = None
-        self._steps = 0
+        # Imported here: the fleet module builds on this module's records.
+        from .fleet import FleetEnv
 
-    # ------------------------------------------------------------------
-    # episode control
-    # ------------------------------------------------------------------
+        self.fleet = FleetEnv([perception], reward=reward, road=road,
+                              density_per_km=density_per_km,
+                              max_steps=max_steps, faults=faults)
+
+    @property
+    def perception(self) -> EnhancedPerception:
+        return self.fleet.perceptions[0]
+
+    @perception.setter
+    def perception(self, perception: EnhancedPerception) -> None:
+        self.fleet.perceptions[0] = perception
+
     def reset(self, seed: int) -> AugmentedState:
         """Start a fresh seeded episode and return the initial state."""
-        self.engine, _ = build_episode(seed, road=self.road,
-                                       density_per_km=self.density_per_km,
-                                       reference=self.reference)
-        if self.faults is not None:
-            self.faults.reset(seed)
-        self.perception.reset()
-        self.result = EpisodeResult()
-        self._steps = 0
-        self._frame = self.perception.perceive(self.engine, self.AV_ID)
-        return build_augmented_state(self._frame)
+        return self.fleet.reset(seed)[self.AV_ID]
+
+    @property
+    def engine(self) -> SimulationEngine | None:
+        return self.fleet.engine
+
+    @property
+    def result(self) -> EpisodeResult:
+        return self.fleet.results[self.AV_ID]
 
     @property
     def av(self) -> Vehicle | None:
-        if self.engine is None:
-            return None
-        return self.engine.vehicles.get(self.AV_ID)
+        return self.fleet.av(self.AV_ID)
 
     @property
     def frame(self) -> PerceptionFrame | None:
         """The most recent perception frame (for policies that need it)."""
-        return self._frame
+        return self.fleet.frame(self.AV_ID)
 
     def done(self) -> bool:
-        return (self.result.finished or self.result.collided
-                or self._steps >= self.max_steps)
+        return self.fleet.done()
 
-    # ------------------------------------------------------------------
-    # stepping
-    # ------------------------------------------------------------------
     def step(self, action: ParameterizedAction
              ) -> tuple[AugmentedState | None, RewardBreakdown, bool, StepRecord]:
         """Apply one parameterized action and advance the world by 0.5 s."""
-        if self.engine is None:
-            raise RuntimeError("call reset() before step()")
-        if self.done():
-            raise RuntimeError("episode is over; call reset()")
-        if self.faults is not None:
-            action = self.faults.filter_action(action)
-        engine = self.engine
-        av = engine.get(self.AV_ID)
-
-        rear_before = engine.follower_of(av)
-        rear_id = rear_before.vid if rear_before is not None else None
-        rear_v_before = rear_before.v if rear_before is not None else None
-        accel_prev = av.accel
-
-        engine.set_maneuver(self.AV_ID, action.lane_delta, action.accel)
-        events = engine.step()
-        self._steps += 1
-
-        collided = any(event.vehicle_id == self.AV_ID or event.other_id == self.AV_ID
-                       for event in events)
-        finished = self.AV_ID not in engine.vehicles and not collided
-
-        av_after = engine.vehicles.get(self.AV_ID) or engine.retired.get(self.AV_ID)
-        outcome = self._build_outcome(av_after, collided, action.accel, accel_prev,
-                                      rear_id, rear_v_before)
-        breakdown = self.reward.compute(outcome)
-        record = self._record(av_after, outcome, breakdown, collided)
-        self.result.records.append(record)
-        self.result.steps = self._steps
-        self.result.collided = collided
-        self.result.finished = finished
-
-        done = collided or finished or self._steps >= self.max_steps
-        next_state: AugmentedState | None = None
-        if not done:
-            self._frame = self.perception.perceive(engine, self.AV_ID)
-            next_state = build_augmented_state(self._frame)
-        return next_state, breakdown, done, record
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _build_outcome(self, av: Vehicle, collided: bool, accel: float,
-                       accel_prev: float, rear_id: str | None,
-                       rear_v_before: float | None) -> StepOutcome:
-        return build_step_outcome(self.engine, av, collided, accel, accel_prev,
-                                  rear_id, rear_v_before,
-                                  self.perception.sensor.detection_range)
-
-    def _record(self, av: Vehicle, outcome: StepOutcome,
-                breakdown: RewardBreakdown, collided: bool) -> StepRecord:
-        return build_step_record(self.engine, av, outcome, breakdown, collided,
-                                 self._steps, self.reward.velocity_threshold)
+        states, breakdowns, done, records = self.fleet.step({self.AV_ID: action})
+        return (states.get(self.AV_ID), breakdowns[self.AV_ID], done,
+                records[self.AV_ID])
 
 
 def build_step_outcome(engine: SimulationEngine, av: Vehicle | None,
@@ -252,8 +206,11 @@ def build_step_record(engine: SimulationEngine, av: Vehicle | None,
                       collided: bool, step: int,
                       velocity_threshold: float,
                       population: tuple[list[str], np.ndarray, np.ndarray]
-                      | None = None) -> StepRecord:
-    """Raw metric record for one executed step of one ego."""
+                      ) -> StepRecord:
+    """Raw metric record for one executed step of one ego.
+
+    ``population`` is :func:`population_arrays` of the post-step world.
+    """
     ttc = None
     if (outcome.front_gap_next is not None and outcome.front_closing_speed is not None
             and outcome.front_closing_speed > 0.0 and outcome.front_gap_next > 0.0):
@@ -270,8 +227,7 @@ def build_step_record(engine: SimulationEngine, av: Vehicle | None,
     trailing: list[str] = []
     velocities = np.zeros(0)
     if av is not None and av.vid in engine.vehicles:
-        vids, lons, speeds = (population if population is not None
-                              else population_arrays(engine))
+        vids, lons, speeds = population
         behind = av.lon - lons
         rows = np.flatnonzero((behind > 0.0) & (behind <= 100.0))
         trailing = [vids[row] for row in rows]

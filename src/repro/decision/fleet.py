@@ -1,9 +1,10 @@
 """Fleet driving environment: M HEAD agents sharing one engine.
 
-Promotes the single-AV assumption out of :class:`DrivingEnv`: M
-autonomous vehicles drive one struct-of-arrays world, and all per-step
-fleet work that used to be M sequential single-AV paths becomes single
-stacked calls:
+:meth:`FleetEnv.step` is the one implementation of the paper's PAMDP
+transition (Eqs. 17-18 plus the Eq. 28 reward); the single-AV
+:class:`~repro.decision.environment.DrivingEnv` is a one-member fleet.
+M autonomous vehicles drive one struct-of-arrays world, and all
+per-step fleet work becomes single stacked calls:
 
 * **perception** -- each AV keeps its own tracker/phantom state
   (:class:`~repro.perception.module.EnhancedPerception`), but the M
@@ -14,13 +15,15 @@ stacked calls:
   into one :meth:`~repro.decision.agents.PDQNAgent.act_batch` forward;
 * **simulation** -- the engine advances everyone in one vectorized
   step, with AV-vs-AV lane-change conflicts arbitrated in canonical
-  sorted-vid order (see ``SimulationEngine._resolve_lane_conflicts``).
+  sorted-vid order (see :meth:`~repro.sim.engine.SimulationEngine.step`).
 
-The M=1 contract: a one-AV fleet episode is **bit-identical** to the
-classic :class:`DrivingEnv` rollout for the same seed and action
-sequence -- same engine world, same RNG stream, same rewards, records
-and augmented states.  ``tests/decision/test_fleet_equivalence.py``
-replays a pre-refactor golden trace through both paths.
+The M=1 contract: a one-AV episode reproduces the single-AV rollout
+recorded before the fleet existed, bit for bit -- same engine world,
+RNG stream, rewards, records and augmented states.
+``tests/decision/test_fleet_equivalence.py`` replays that golden trace
+through ``DrivingEnv`` and a one-AV ``FleetEnv``;
+``tests/decision/test_single_av_contract.py`` pins a crashing episode
+and a faulty one.
 """
 
 from __future__ import annotations
@@ -101,8 +104,13 @@ class FleetEnv:
         All instances should share the same predictor so fleet
         perception runs as one stacked forward; per-AV trackers stay
         independent.
-    reward / road / density_per_km / max_steps / reference:
+    reward / road / density_per_km / max_steps:
         As in :class:`DrivingEnv`; the reward is shared by every AV.
+    faults:
+        Optional :class:`~repro.faults.injector.FaultInjector` applied
+        to every commanded action, reset with the episode seed.  One
+        AV only: the injector latches one vehicle's last command, so a
+        fleet of two or more raises ``ValueError``.
     """
 
     def __init__(self, perceptions: list[EnhancedPerception],
@@ -110,24 +118,29 @@ class FleetEnv:
                  road: Road | None = None,
                  density_per_km: float = constants.DENSITY_PER_KM,
                  max_steps: int = 2000,
-                 reference: bool = False) -> None:
+                 faults=None) -> None:
         if not perceptions:
             raise ValueError("a fleet needs at least one perception module")
+        if faults is not None and len(perceptions) > 1:
+            raise ValueError("actuator faults need a one-AV fleet: the "
+                             "injector latches one vehicle's last command")
         self.perceptions = list(perceptions)
         self.num_avs = len(self.perceptions)
         self.av_ids = fleet_vids(self.num_avs)
-        self._perception = dict(zip(self.av_ids, self.perceptions))
-        self.predictor = self.perceptions[0].predictor
         self.reward = reward or HybridReward()
         self.road = road or Road()
         self.density_per_km = density_per_km
         self.max_steps = max_steps
-        self.reference = reference
+        self.faults = faults
         self.engine: SimulationEngine | None = None
-        self.results: dict[str, EpisodeResult] = {}
+        self._begin_episode()
+
+    def _begin_episode(self) -> None:
+        self.results: dict[str, EpisodeResult] = {
+            vid: EpisodeResult() for vid in self.av_ids}
         self.fleet_records: list[FleetStepRecord] = []
         self._frames: dict[str, PerceptionFrame] = {}
-        self._done: dict[str, bool] = {}
+        self._done: dict[str, bool] = {vid: False for vid in self.av_ids}
         self._steps = 0
 
     # ------------------------------------------------------------------
@@ -137,14 +150,12 @@ class FleetEnv:
         """Start a fresh seeded fleet episode; initial state per AV."""
         self.engine, _ = build_fleet_episode(
             seed, road=self.road, density_per_km=self.density_per_km,
-            reference=self.reference, num_avs=self.num_avs)
+            num_avs=self.num_avs)
+        if self.faults is not None:
+            self.faults.reset(seed)
         for perception in self.perceptions:
             perception.reset()
-        self.results = {vid: EpisodeResult() for vid in self.av_ids}
-        self.fleet_records = []
-        self._frames = {}
-        self._done = {vid: False for vid in self.av_ids}
-        self._steps = 0
+        self._begin_episode()
         return self._perceive_active()
 
     def av(self, vid: str = "av") -> Vehicle | None:
@@ -185,18 +196,21 @@ class FleetEnv:
         if self.engine is None:
             raise RuntimeError("call reset() before step()")
         if self.done():
-            raise RuntimeError("fleet episode is over; call reset()")
+            raise RuntimeError("episode is over; call reset()")
         engine = self.engine
         active = self.active_ids()
         missing = [vid for vid in active if vid not in actions]
         if missing:
             raise ValueError(f"missing actions for active AVs: {missing}")
         av_set = set(self.av_ids)
+        perceptions = dict(zip(self.av_ids, self.perceptions))
 
         # Phase 1 (canonical order): pre-step context + maneuver commands.
         pre: dict[str, tuple] = {}
         for vid in active:
             action = actions[vid]
+            if self.faults is not None:
+                action = self.faults.filter_action(action)
             vehicle = engine.get(vid)
             rear_before = engine.follower_of(vehicle)
             rear_id = rear_before.vid if rear_before is not None else None
@@ -224,7 +238,7 @@ class FleetEnv:
             outcome = build_step_outcome(
                 engine, av_after, collided, action.accel, accel_prev,
                 rear_id, rear_v_before,
-                self._perception[vid].sensor.detection_range)
+                perceptions[vid].sensor.detection_range)
             breakdown = self.reward.compute(outcome)
             record = build_step_record(engine, av_after, outcome, breakdown,
                                        collided, self._steps,
@@ -249,14 +263,15 @@ class FleetEnv:
             if collided and vid in engine.vehicles:
                 crashed.append(vid)
 
-        # Phase 3: crashed AVs leave the world (not "retired" -- they
-        # did not finish); survivors keep driving around the wreck site.
-        for vid in crashed:
-            engine.discard_vehicle(vid)
-
+        # Phase 3: while the episode goes on, crashed AVs leave the world
+        # (not "retired" -- they did not finish) and survivors keep
+        # driving around the wreck site.  An episode that is over keeps
+        # the world its last step left, wreck included.
         done = self.done()
         next_states: dict[str, AugmentedState] = {}
         if not done:
+            for vid in crashed:
+                engine.discard_vehicle(vid)
             next_states = self._perceive_active()
         return next_states, breakdowns, done, records
 
@@ -269,20 +284,23 @@ class FleetEnv:
         Per-AV sensing/graph assembly runs in canonical order (each AV
         owns its tracker state); the M predictor forwards collapse into
         a single ``predict_many`` call over the concatenated graphs --
-        bit-identical per AV to the sequential ``perceive`` path.
+        bit-identical per AV to a single-ego
+        :meth:`~repro.perception.module.EnhancedPerception.perceive`.
         """
         engine = self.engine
         world = {vid: vehicle.state for vid, vehicle in engine.vehicles.items()}
         arrays = WorldArrays(world, engine.road)
+        perceptions = dict(zip(self.av_ids, self.perceptions))
         active = self.active_ids()
         scenes = []
         for vid in active:
-            scenes.append(self._perception[vid].observe_scene(
+            scenes.append(perceptions[vid].observe_scene(
                 vid, engine.get(vid).state, world, engine.road,
                 world_arrays=arrays))
         graphs = build_graphs(scenes, engine.road)
-        if self.predictor is not None:
-            predictions = self.predictor.predict_many(graphs)
+        predictor = self.perceptions[0].predictor
+        if predictor is not None:
+            predictions = predictor.predict_many(graphs)
         else:
             predictions = [np.zeros((6, 3)) for _ in graphs]
         states: dict[str, AugmentedState] = {}

@@ -11,7 +11,7 @@ The cell is *fused*: the input projection for the whole sequence is one
 state update collapse into the single ``lstm_step`` tape node registered
 below -- about 6 nodes per time step where the textbook formulation
 records ~18.  ``tests/nn/test_equivalence_fused.py`` pins this fused
-path against the unfused reference in :mod:`repro.nn.reference`, and
+path against the unfused cell in ``tests/oracles/nn.py``, and
 ``tests/nn/test_gradcheck_registry.py`` finite-difference-checks the
 ``lstm_step`` VJPs directly.
 """

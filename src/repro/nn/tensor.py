@@ -19,8 +19,8 @@ closure-free idiom of HIPS autograd):
   the registered VJPs in reverse, accumulating into gradient buffers
   drawn from a shape-keyed pool that is reused across training steps.
 
-Compared with the closure tape it replaced (preserved verbatim in
-:mod:`repro.nn.reference`), recording a node costs an attribute write
+Compared with the closure tape it replaced (preserved verbatim as the
+test oracle ``tests/oracles/nn.py``), recording a node costs an attribute write
 instead of a closure allocation, backward dispatch is a dict lookup
 instead of a call into captured cell variables, and gradient buffers
 are recycled instead of reallocated every step.  ``BENCH_nn.json``

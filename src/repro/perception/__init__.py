@@ -1,7 +1,7 @@
 """Enhanced perception module: sensor, phantom construction, LST-GAT."""
 
-from .sensor import Sensor, segment_intersects_rectangle
-from .neighbors import AREA_COUNT, MIRROR_AREA, area_of, select_neighbors
+from .sensor import Sensor
+from .neighbors import AREA_COUNT, MIRROR_AREA
 from .tracking import ObservationBuffer
 from .phantom import TrackKind, TrackedVehicle, PerceivedScene, build_scene
 from .graph import (SpatialTemporalGraph, build_graph, to_networkx,
@@ -16,8 +16,8 @@ from .multistep import rollout, HorizonErrors, horizon_errors
 from .module import PerceptionFrame, EnhancedPerception
 
 __all__ = [
-    "Sensor", "segment_intersects_rectangle",
-    "AREA_COUNT", "MIRROR_AREA", "area_of", "select_neighbors",
+    "Sensor",
+    "AREA_COUNT", "MIRROR_AREA",
     "ObservationBuffer",
     "TrackKind", "TrackedVehicle", "PerceivedScene", "build_scene",
     "SpatialTemporalGraph", "build_graph", "to_networkx", "FEATURE_DIM", "CONTRIBUTORS",

@@ -110,8 +110,7 @@ class GraphAttention(nn.Module):
 
         The whole layer -- every head, target and history step -- is a
         handful of einsums; ``tests/nn/test_equivalence_fused.py`` pins
-        it against the per-head reference loop in
-        :mod:`repro.nn.reference`.
+        it against the per-head loop in ``tests/oracles/nn.py``.
         """
         z, n = targets.shape[0], targets.shape[1]
         alpha = self.attention_weights(targets, contributors)  # (z, n, 7, K)

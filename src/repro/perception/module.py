@@ -84,50 +84,30 @@ class EnhancedPerception:
         return track
 
     def perceive(self, engine: SimulationEngine, ego_id: str) -> PerceptionFrame:
-        """Run one full perception cycle against the live simulator."""
-        ego_state = engine.get(ego_id).state
+        """Run one full perception cycle for one ego against the simulator."""
         world = {vid: vehicle.state for vid, vehicle in engine.vehicles.items()}
-        return self.perceive_snapshot(ego_id, ego_state, world, engine.road)
-
-    def perceive_snapshot(self, ego_id: str, ego_state: VehicleState,
-                          world: dict[str, VehicleState], road: Road) -> PerceptionFrame:
-        """Perception cycle against an explicit world snapshot."""
-        scene, graph = self.observe_graph(ego_id, ego_state, world, road)
+        scene = self.observe_scene(ego_id, engine.get(ego_id).state, world,
+                                   engine.road)
+        graph = build_graph(scene, engine.road)
         if self.predictor is not None:
             prediction = self.predictor.predict(graph)
         else:
             prediction = np.zeros((6, 3))
         return PerceptionFrame(scene=scene, graph=graph, prediction=prediction)
 
-    def observe_graph(self, ego_id: str, ego_state: VehicleState,
-                      world: dict[str, VehicleState], road: Road,
-                      world_arrays=None
-                      ) -> tuple[PerceivedScene, SpatialTemporalGraph]:
-        """The sensing half of :meth:`perceive_snapshot`: sensor read,
-        track update, phantom construction and graph assembly -- without
-        the predictor forward.
-
-        Fleet perception uses this to gather all M AVs' graphs first and
-        run **one** stacked LST-GAT forward
-        (:meth:`~repro.perception.predictor.StatePredictor.predict_many`)
-        instead of M sequential ones; pairing this with that call is
-        bit-identical to :meth:`perceive_snapshot` per ego.
-        ``world_arrays`` optionally shares one pre-gathered
-        :class:`~repro.perception.sensor.WorldArrays` of the snapshot
-        across the fleet's sensors.
-        """
-        scene = self.observe_scene(ego_id, ego_state, world, road,
-                                   world_arrays=world_arrays)
-        return scene, build_graph(scene, road)
-
     def observe_scene(self, ego_id: str, ego_state: VehicleState,
                       world: dict[str, VehicleState], road: Road,
                       world_arrays=None) -> PerceivedScene:
         """Sensor read, track update and phantom construction only.
 
-        Fleet perception gathers all M AVs' scenes with this and then
-        assembles every graph in one stacked
-        :func:`~repro.perception.graph.build_graphs` call.
+        Fleet perception gathers all M AVs' scenes with this, assembles
+        every graph in one stacked
+        :func:`~repro.perception.graph.build_graphs` call and runs one
+        :meth:`~repro.perception.predictor.StatePredictor.predict_many`
+        forward -- bit-identical per ego to :meth:`perceive`.
+        ``world_arrays`` optionally shares one pre-gathered
+        :class:`~repro.perception.sensor.WorldArrays` of the snapshot
+        across the fleet's sensors.
         """
         self._ego_track.append(ego_state)
         observed = self.sensor.observe(ego_id, ego_state, world, road,

@@ -5,22 +5,15 @@ are the nearest ones in the front-left (1), front (2), front-right (3),
 rear-left (4), rear (5) and rear-right (6) areas.  The index order
 matches Eq. 4, so position ``i`` here is the paper's ``C_i``.
 
-:func:`select_neighbors` is the scalar per-pair reference;
-:func:`select_neighbors_batch` answers the same query for M centers at
-once through the :class:`~repro.sim.spatial.SpatialHash` kernel and is
-bit-identical to it, including tie-breaking (first candidate in
-iteration order wins an exact distance tie).
+The query itself is
+:meth:`~repro.sim.spatial.SpatialHash.six_area_neighbors`, bit-identical
+to the scalar per-pair classifier kept as the test oracle
+``tests/oracles/perception.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..sim.spatial import SpatialHash
-from ..sim.vehicle import VehicleState
-
-__all__ = ["AREA_COUNT", "select_neighbors", "select_neighbors_batch",
-           "area_of", "MIRROR_AREA"]
+__all__ = ["AREA_COUNT", "MIRROR_AREA"]
 
 #: Number of key areas around a center vehicle.
 AREA_COUNT = 6
@@ -29,103 +22,3 @@ AREA_COUNT = 6
 #: area i around A, then A occupies area MIRROR_AREA[i] around B
 #: (paper footnote 1: A = C_{1.6} = C_{2.5} = C_{3.4} = ...).
 MIRROR_AREA = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2, 6: 1}
-
-
-def area_of(center: VehicleState, other: VehicleState) -> int | None:
-    """Classify ``other`` into one of the six areas around ``center``.
-
-    Returns 1-6, or None when ``other`` is not classifiable:
-
-    * non-adjacent lane (``|lat difference| > 1``) -> None;
-    * same lane at the exact same longitude -> None (that position is
-      the center itself);
-    * adjacent lane: "ahead" means *strictly* greater longitude, so a
-      vehicle exactly alongside (equal longitude, one lane over) falls
-      in the rear area (4 on the left, 6 on the right).
-
-    The vectorized kernel (:meth:`repro.sim.spatial.SpatialHash.
-    six_area_neighbors`) implements exactly these bounds; the
-    exactly-alongside case is pinned by unit tests.
-    """
-    lane_delta = other.lat - center.lat
-    if lane_delta not in (-1, 0, 1):
-        return None
-    ahead = other.lon > center.lon
-    if lane_delta == -1:
-        return 1 if ahead else 4
-    if lane_delta == 0:
-        if other.lon == center.lon:
-            return None
-        return 2 if ahead else 5
-    return 3 if ahead else 6
-
-
-def select_neighbors(center: VehicleState,
-                     candidates: dict[str, VehicleState]) -> dict[int, str]:
-    """Pick the nearest candidate per area around ``center``.
-
-    Parameters
-    ----------
-    center:
-        State of the center vehicle.
-    candidates:
-        Candidate states keyed by id (must not contain the center).
-
-    Returns
-    -------
-    Mapping ``area -> vehicle id`` containing only occupied areas.
-    """
-    best: dict[int, tuple[float, str]] = {}
-    for vid, state in candidates.items():
-        area = area_of(center, state)
-        if area is None:
-            continue
-        distance = abs(state.lon - center.lon)
-        if area not in best or distance < best[area][0]:
-            best[area] = (distance, vid)
-    return {area: vid for area, (_, vid) in best.items()}
-
-
-def candidate_hash(candidates: dict[str, VehicleState], num_lanes: int
-                   ) -> tuple[SpatialHash, list[str]]:
-    """Build a :class:`SpatialHash` over a candidate dict.
-
-    Rows follow the dict's iteration order, which is what makes the
-    kernel's tie-breaking identical to :func:`select_neighbors` (stable
-    lexsort keeps equal ``(lane, lon)`` rows in input order, and rear
-    queries snap to the first row of an equal-longitude run).  Returns
-    the hash plus the row -> vehicle-id mapping.
-    """
-    ids = list(candidates)
-    count = len(ids)
-    lane = np.empty(count, dtype=np.int64)
-    lon = np.empty(count, dtype=np.float64)
-    for row, vid in enumerate(ids):
-        state = candidates[vid]
-        lane[row] = state.lat
-        lon[row] = state.lon
-    return SpatialHash(lane, lon, num_lanes), ids
-
-
-def select_neighbors_batch(centers: list[VehicleState],
-                           candidates: dict[str, VehicleState],
-                           num_lanes: int) -> list[dict[int, str]]:
-    """Vectorized :func:`select_neighbors` for M centers at once.
-
-    All centers share one candidate set (one lexsort, M batched
-    searchsorted queries).  A center that itself appears in
-    ``candidates`` at its exact position is excluded from its own
-    result by the kernel's strict same-lane bounds -- the same outcome
-    as dropping it from the dict, so per-center results match
-    ``select_neighbors(center, {candidates minus that center})``
-    bit for bit.
-    """
-    index, ids = candidate_hash(candidates, num_lanes)
-    center_lane = np.fromiter((state.lat for state in centers),
-                              dtype=np.int64, count=len(centers))
-    center_lon = np.fromiter((state.lon for state in centers),
-                             dtype=np.float64, count=len(centers))
-    matrix = index.six_area_neighbors(center_lane, center_lon)
-    return [{area: ids[row[area - 1]] for area in range(1, AREA_COUNT + 1)
-             if row[area - 1] >= 0}
-            for row in matrix]

@@ -19,8 +19,7 @@ from ..sim import constants
 from ..sim.road import Road
 from ..sim.vehicle import VehicleState
 
-__all__ = ["Sensor", "WorldArrays", "segment_intersects_rectangle",
-           "clamp_measurement"]
+__all__ = ["Sensor", "WorldArrays", "clamp_measurement"]
 
 #: Plan-view vehicle width (m) used for occlusion shadows.
 VEHICLE_WIDTH = 2.0
@@ -46,11 +45,6 @@ def clamp_measurement(state: VehicleState, road: Road,
     return VehicleState(lat=lat, lon=lon, v=v)
 
 
-def _lateral_meters(state: VehicleState, road: Road) -> float:
-    """Lane-center lateral coordinate in meters."""
-    return state.lat * road.lane_width
-
-
 class WorldArrays:
     """Pre-gathered plan-view coordinate arrays of one world snapshot.
 
@@ -72,38 +66,6 @@ class WorldArrays:
                                dtype=np.float64, count=count)
         self.lat_m = np.fromiter((state.lat for state in world.values()),
                                  dtype=np.float64, count=count) * road.lane_width
-
-
-def segment_intersects_rectangle(p0: tuple[float, float], p1: tuple[float, float],
-                                 center: tuple[float, float],
-                                 half_x: float, half_y: float) -> bool:
-    """Return True when segment p0-p1 crosses an axis-aligned rectangle.
-
-    Uses the slab (Liang-Barsky) clipping test.  Touching only the
-    boundary counts as intersecting, which errs on the side of marking
-    targets occluded -- the conservative choice for a safety system.
-    """
-    x0, y0 = p0
-    x1, y1 = p1
-    dx, dy = x1 - x0, y1 - y0
-    t_min, t_max = 0.0, 1.0
-    for delta, origin, lo, hi in (
-        (dx, x0, center[0] - half_x, center[0] + half_x),
-        (dy, y0, center[1] - half_y, center[1] + half_y),
-    ):
-        if abs(delta) < 1e-12:
-            if origin < lo or origin > hi:
-                return False
-            continue
-        t_enter = (lo - origin) / delta
-        t_exit = (hi - origin) / delta
-        if t_enter > t_exit:
-            t_enter, t_exit = t_exit, t_enter
-        t_min = max(t_min, t_enter)
-        t_max = min(t_max, t_exit)
-        if t_min > t_max:
-            return False
-    return True
 
 
 @dataclass
@@ -137,32 +99,6 @@ class Sensor:
 
         self._noise_rng = default_generator(self.seed)
 
-    def in_range(self, ego: VehicleState, target: VehicleState, road: Road) -> bool:
-        """Euclidean range test in the plan view."""
-        dx = target.lon - ego.lon
-        dy = _lateral_meters(target, road) - _lateral_meters(ego, road)
-        return dx * dx + dy * dy <= self.detection_range ** 2
-
-    def is_occluded(self, ego: VehicleState, target: VehicleState,
-                    obstacles: dict[str, VehicleState], road: Road,
-                    target_id: str | None = None) -> bool:
-        """True when any obstacle blocks the ego-to-target sight line."""
-        # Sight line runs between geometric centers (lon is the front
-        # bumper, so the center sits half a length behind it).
-        half_len = self.vehicle_length / 2.0
-        p0 = (ego.lon - half_len, _lateral_meters(ego, road))
-        p1 = (target.lon - half_len, _lateral_meters(target, road))
-        for vid, state in obstacles.items():
-            if target_id is not None and vid == target_id:
-                continue
-            center = (state.lon - half_len, _lateral_meters(state, road))
-            if abs(center[0] - p0[0]) < 1e-9 and abs(center[1] - p0[1]) < 1e-9:
-                continue  # the ego itself
-            if segment_intersects_rectangle(p0, p1, center,
-                                            half_len, self.vehicle_width / 2.0):
-                return True
-        return False
-
     def observe(self, ego_id: str, ego: VehicleState,
                 world: dict[str, VehicleState], road: Road,
                 arrays: WorldArrays | None = None) -> dict[str, VehicleState]:
@@ -175,25 +111,17 @@ class Sensor:
         snapshot (fleet sharing); the result is identical either way.
 
         The range and occlusion tests run as one vectorized pairwise
-        slab pass over all candidates; every arithmetic step mirrors
-        :meth:`in_range` / :func:`segment_intersects_rectangle` exactly,
-        so the visible set is bit-identical to the per-pair scalar loop
-        (pinned by ``tests/perception/test_sensor_kernel.py``).
+        slab (Liang-Barsky) pass over all candidates; touching only an
+        obstacle's boundary counts as occluded, the conservative choice
+        for a safety system.  Every arithmetic step mirrors the per-pair
+        scalar oracle in ``tests/oracles/perception.py``, so the visible
+        set is bit-identical to it (pinned by
+        ``tests/perception/test_sensor_kernel.py``).
         """
-        ego_row = None
         if arrays is None:
-            ids = [vid for vid in world if vid != ego_id]
-            if not ids:
-                return {}
-            lon = np.fromiter((world[vid].lon for vid in ids), dtype=np.float64,
-                              count=len(ids))
-            lat_m = np.fromiter((world[vid].lat for vid in ids), dtype=np.float64,
-                                count=len(ids)) * road.lane_width
-        else:
-            ids = arrays.ids
-            lon = arrays.lon
-            lat_m = arrays.lat_m
-            ego_row = arrays.position.get(ego_id)
+            arrays = WorldArrays(world, road)
+        ids, lon, lat_m = arrays.ids, arrays.lon, arrays.lat_m
+        ego_row = arrays.position.get(ego_id)
         ego_y = ego.lat * road.lane_width
         range_dx = lon - ego.lon
         range_dy = lat_m - ego_y

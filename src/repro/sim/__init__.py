@@ -9,7 +9,7 @@ from . import constants
 from .road import Road
 from .vehicle import Vehicle, VehicleState, DriverProfile
 from .carfollowing import CarFollowingModel, IDM, ACC, Krauss, free_road_gap
-from .lanechange import MOBIL, LaneChangeDecision
+from .lanechange import MOBIL
 from .engine import SimulationEngine, CollisionEvent, Maneuver
 from .spawn import (random_profile, populate_traffic, replenish_traffic,
                     insert_autonomous_vehicle, build_episode)
@@ -22,7 +22,7 @@ __all__ = [
     "constants", "Road",
     "Vehicle", "VehicleState", "DriverProfile",
     "CarFollowingModel", "IDM", "ACC", "Krauss", "free_road_gap",
-    "MOBIL", "LaneChangeDecision",
+    "MOBIL",
     "SimulationEngine", "CollisionEvent", "Maneuver",
     "random_profile", "populate_traffic", "replenish_traffic",
     "insert_autonomous_vehicle", "build_episode",

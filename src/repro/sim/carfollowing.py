@@ -56,11 +56,14 @@ def _pow_chain(base, exponent: float):
 class CarFollowingModel:
     """Interface: compute a longitudinal acceleration command.
 
-    Models may additionally provide ``acceleration_batch`` operating on
-    aligned numpy arrays plus a :class:`ProfileArrays`; the engine uses
-    it to advance all conventional vehicles at once.  Batched
-    implementations must be bit-identical to their scalar counterparts
-    (same operations in the same order).
+    A model used by :class:`~repro.sim.engine.SimulationEngine` must
+    also provide ``acceleration_batch(v, leader_v, gap, profiles)`` on
+    aligned numpy arrays plus a :class:`ProfileArrays`: the engine
+    advances every conventional vehicle at once and raises
+    ``TypeError`` at construction for a model without it.  The batched
+    method must be bit-identical to the scalar one (same operations in
+    the same order); policies and the lockstep oracle call the scalar
+    one.
     """
 
     def acceleration(self, v: float, leader_v: float, gap: float,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .carfollowing import CarFollowingModel, FREE_ROAD_GAP, Krauss, free_road_gap
+from .carfollowing import CarFollowingModel, FREE_ROAD_GAP, Krauss
 from .lanechange import MOBIL
 from .road import Road
 from .spatial import SpatialHash
@@ -96,32 +96,30 @@ class SimulationEngine:
         Seeded generator driving stochastic driver imperfection.
     history_length:
         Number of past states retained per vehicle for perception.
-    reference:
-        When true, always step with the scalar per-vehicle loop.  The
-        default vectorized path is bit-identical to it; the reference
-        mode exists so equivalence tests (and unusual custom models
-        without a batched implementation) can exercise the original
-        trajectory-for-trajectory semantics.
+
+    Raises ``TypeError`` when ``car_following`` has no
+    ``acceleration_batch``: the step advances every vehicle at once.
     """
 
     def __init__(self, road: Road | None = None,
                  car_following: CarFollowingModel | None = None,
                  rng: np.random.Generator | None = None,
-                 history_length: int = constants.HISTORY_STEPS + 1,
-                 reference: bool = False) -> None:
+                 history_length: int = constants.HISTORY_STEPS + 1) -> None:
         self.road = road or Road()
         self.car_following = car_following or Krauss()
+        if not hasattr(self.car_following, "acceleration_batch"):
+            raise TypeError(f"{type(self.car_following).__name__} has no "
+                            f"acceleration_batch, which SimulationEngine needs")
         self.lane_change = MOBIL(self.car_following)
         self.rng = resolve_rng(rng)
         self.history_length = history_length
-        self.reference = reference
         self.step_count = 0
         self.vehicles: dict[str, Vehicle] = {}
         self.history: dict[str, deque[VehicleState]] = {}
         self.collisions: list[CollisionEvent] = []
         self.retired: dict[str, Vehicle] = {}
         self._pending: dict[str, Maneuver] = {}
-        # Lane index over the live vehicles for the scalar queries; built
+        # Lane index over the live vehicles for the object queries; built
         # on first use, dropped whenever a position or the population
         # changes.
         self._lane_hash: tuple[SpatialHash, list[Vehicle]] | None = None
@@ -266,88 +264,17 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def step(self) -> list[CollisionEvent]:
-        """Advance the world by one 0.5 s step; return new collisions.
-
-        Dispatches to the vectorized struct-of-arrays path, falling back
-        to the scalar reference loop when ``reference=True`` or when a
-        custom model does not provide the batched interface.  The two
-        paths produce bit-identical trajectories, collision events, and
-        RNG stream consumption.
-        """
-        if self.reference or not self._vectorizable():
-            return self._step_reference()
-        return self._step_vectorized()
-
-    def _vectorizable(self) -> bool:
-        return (hasattr(self.car_following, "acceleration_batch")
-                and hasattr(self.lane_change, "evaluate_batch"))
-
     def _dawdle_noise(self, count: int) -> np.ndarray | None:
         """Draw the per-step dawdle noise block: one (u_hit, u_mag) pair per
         eligible conventional vehicle, in sorted-vid order.
 
         A single block draw (instead of data-dependent sequential draws)
-        keeps the RNG stream consumption identical between the reference
-        and vectorized paths: ``Generator.random((n, 2))`` consumes the
-        same stream as 2n sequential ``random()`` calls.
+        keeps the RNG stream consumption identical to the scalar oracle:
+        ``Generator.random((n, 2))`` consumes the same stream as 2n
+        sequential ``random()`` calls.
         """
         return self.rng.random((count, 2)) if count else None
 
-    def _step_reference(self) -> list[CollisionEvent]:
-        vehicles = self.active_vehicles()
-        noise = self._dawdle_noise(sum(
-            1 for vehicle in vehicles
-            if not vehicle.is_autonomous and vehicle.vid not in self._pending
-            and vehicle.profile.imperfection > 0.0))
-        noise_row = 0
-
-        decisions: dict[str, Maneuver] = {}
-        for vehicle in vehicles:
-            if vehicle.vid in self._pending:
-                decisions[vehicle.vid] = self._pending[vehicle.vid]
-            elif not vehicle.is_autonomous:
-                pair = None
-                if vehicle.profile.imperfection > 0.0:
-                    pair = noise[noise_row]
-                    noise_row += 1
-                decisions[vehicle.vid] = self._conventional_decision(vehicle, pair)
-            else:
-                decisions[vehicle.vid] = Maneuver(0, 0.0)
-
-        new_collisions = self._apply(decisions)
-        self._pending.clear()
-        self.step_count += 1
-        return new_collisions
-
-    def _conventional_decision(self, vehicle: Vehicle,
-                               noise: np.ndarray | None = None) -> Maneuver:
-        leader = self.leader_of(vehicle)
-        lane_delta = 0
-        if vehicle.cooldown > 0:
-            vehicle.cooldown -= 1
-        else:
-            left = self._adjacent(vehicle, -1)
-            right = self._adjacent(vehicle, +1)
-            lane_delta = self.lane_change.decide(vehicle, leader, left, right)
-            if lane_delta != 0:
-                vehicle.cooldown = LANE_CHANGE_COOLDOWN
-                leader = self.leader_of(vehicle, vehicle.lane + lane_delta)
-
-        gap = vehicle.gap_to(leader) if leader is not None else free_road_gap()
-        leader_v = leader.v if leader is not None else 0.0
-        accel = self.car_following.acceleration(vehicle.v, leader_v, gap, vehicle.profile)
-        # Seeded driver imperfection (Krauss sigma): occasionally dawdle.
-        # The (u_hit, u_mag) pair comes from the per-step block draw.
-        if noise is not None and float(noise[0]) < vehicle.profile.imperfection:
-            accel -= float(noise[1]) * 0.5 * vehicle.profile.max_accel
-        accel = min(max(accel, -constants.A_MAX), constants.A_MAX)
-        accel = self._emergency_brake(vehicle, leader, accel)
-        return Maneuver(lane_delta, accel)
-
-    # ------------------------------------------------------------------
-    # vectorized stepping
-    # ------------------------------------------------------------------
     def _static_arrays(self, vehicles: list[Vehicle]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray, bool]:
@@ -369,13 +296,15 @@ class SimulationEngine:
             self._static_generation = self._generation
         return self._static_cache
 
-    def _step_vectorized(self) -> list[CollisionEvent]:
-        """Advance all vehicles on struct-of-arrays state.
+    def step(self) -> list[CollisionEvent]:
+        """Advance the world by one 0.5 s step; return new collisions.
 
-        Every formula below transcribes the scalar path with identical
-        operation order (see docs/performance.md for the methodology),
-        so positions, velocities, lanes, cooldowns, collision events,
-        and RNG draws match the reference loop bit for bit.
+        Every vehicle advances at once on struct-of-arrays state.  The
+        formulas transcribe the scalar per-vehicle loop kept as the
+        test oracle (``tests/oracles/engine.py``) with identical
+        operation order (see docs/performance.md), so positions,
+        velocities, lanes, cooldowns, collision events and RNG draws
+        match it bit for bit.
         """
         new_events: list[CollisionEvent] = []
         # SoA carryover: the arrays written at the end of the previous
@@ -532,7 +461,7 @@ class SimulationEngine:
             cf_accel = self.car_following.acceleration_batch(
                 v, cf_leader_v, cf_gap, profiles)
 
-        # Seeded driver imperfection: same block draw as _step_reference.
+        # Seeded driver imperfection: one block draw for every eligible row.
         if all_conventional:
             eligible = profiles.imperfect
             all_eligible = profiles.fully_imperfect
@@ -558,7 +487,11 @@ class SimulationEngine:
 
         cf_accel = np.minimum(np.maximum(cf_accel, -constants.A_MAX), constants.A_MAX)
 
-        # Emergency braking envelope against the car-following leader.
+        # Emergency braking envelope against the car-following leader
+        # (SUMO's emergencyDecel): when the constant-deceleration stopping
+        # envelope closing^2 / (2 * gap), after one more reaction step,
+        # demands more than A_MAX (e.g. a vehicle just cut in), brake as
+        # hard as the tires allow.
         # The no-leader sentinel gap (1e6 m) keeps ``required`` far below
         # A_MAX, so those rows disengage without an explicit has-leader
         # term in the mask.
@@ -578,11 +511,15 @@ class SimulationEngine:
         else:
             accel = np.where(conventional, cf_accel, accel)
 
-        # Synchronous lane-change conflicts (see _resolve_lane_conflicts
-        # for the scalar semantics): AV-vs-AV arbitration runs first --
-        # an AV lane change aborts only when it overlaps another AV's
-        # claim, never a CV's -- then CV changers abort, in sorted-vid
-        # order, against keeper claims and the AVs' final targets.
+        # Synchronous lane-change conflicts: decisions come from the state
+        # at t, so two vehicles can claim the same gap.  Lane keepers
+        # claim their predicted intervals; AV-vs-AV arbitration runs
+        # next -- an AV lane change aborts only when it overlaps another
+        # AV's claim, never a CV's, so an AV maneuver unsafe for
+        # conventional traffic produces the collision the reward must
+        # penalize (with one AV this wave is a no-op) -- then CV changers
+        # abort, in sorted-vid order, against keeper claims and the AVs'
+        # final targets.
         target = lane + lane_delta if any_delta else lane
         if cv_changers or av_changers:
             predicted = lon + v * constants.DT + accel * _HALF_DT_SQ
@@ -746,156 +683,6 @@ class SimulationEngine:
         self._static_generation = self._generation
         self._profile_cache = profiles.take(keep)
         return soa
-
-    @staticmethod
-    def _emergency_brake(vehicle: Vehicle, leader: Vehicle | None,
-                         accel: float) -> float:
-        """Allow a CV to exceed comfortable braking in a near-collision.
-
-        SUMO's emergencyDecel semantics: when the closing speed and gap
-        demand more than the comfortable bound to avoid running into the
-        leader (e.g. a vehicle just cut in), brake as hard as the tires
-        allow.  The criterion is the constant-deceleration stopping
-        envelope ``closing^2 / (2 * gap)`` plus a reaction-step margin.
-        """
-        if leader is None:
-            return accel
-        gap = vehicle.gap_to(leader)
-        closing = vehicle.v - leader.v
-        if gap <= 0.0 or closing <= 0.0:
-            return accel
-        # Gap available after one more reaction step at current speeds.
-        effective_gap = max(gap - closing * constants.DT - 0.3, 0.1)
-        required = closing * closing / (2.0 * effective_gap)
-        if required <= constants.A_MAX:
-            return accel
-        return -min(required, constants.EMERGENCY_DECEL)
-
-    def _adjacent(self, vehicle: Vehicle, direction: int) -> tuple[Vehicle | None, Vehicle | None] | None:
-        lane = vehicle.lane + direction
-        if not self.road.is_valid_lane(lane):
-            return None
-        return (self.leader_of(vehicle, lane), self.follower_of(vehicle, lane))
-
-    def _resolve_lane_conflicts(self, decisions: dict[str, Maneuver]) -> dict[str, Maneuver]:
-        """Cancel lane changes that would collide with concurrent movers.
-
-        Decisions are made synchronously from the state at ``t``, so two
-        vehicles can legitimately claim the same target gap.  Resolution
-        runs in sorted-vid order (canonical: invariant to insertion
-        order) in three waves:
-
-        1. lane-keepers (CV and AV) claim their predicted intervals;
-        2. AV changers arbitrate **among themselves**: an AV lane change
-           aborts only when it overlaps another AV's claim.  CV claims
-           never override an AV command -- an AV maneuver that is unsafe
-           with respect to conventional traffic must produce the
-           collision so the reward can penalize it.  With a single AV
-           this wave is a no-op, preserving the M=1 contract;
-        3. CV changers abort (keep lane) when overlapping any existing
-           claim, including the AVs' final targets.
-        """
-        margin = 1.0
-        claims: dict[int, list[tuple[float, float]]] = {}
-        av_claims: dict[int, list[tuple[float, float]]] = {}
-        resolved = dict(decisions)
-
-        def predicted_interval(vehicle: Vehicle, maneuver: Maneuver) -> tuple[float, float]:
-            lon = vehicle.lon + vehicle.v * constants.DT + 0.5 * maneuver.accel * constants.DT ** 2
-            return (lon - vehicle.length - margin, lon + margin)
-
-        av_movers: list[str] = []
-        changers: list[str] = []
-        for vid in sorted(decisions):
-            vehicle = self.vehicles.get(vid)
-            if vehicle is None:
-                continue
-            maneuver = decisions[vid]
-            if maneuver.lane_delta == 0:
-                interval = predicted_interval(vehicle, maneuver)
-                claims.setdefault(vehicle.lane, []).append(interval)
-                if vehicle.is_autonomous:
-                    av_claims.setdefault(vehicle.lane, []).append(interval)
-            elif vehicle.is_autonomous:
-                av_movers.append(vid)
-            else:
-                changers.append(vid)
-
-        for vid in av_movers:
-            vehicle = self.vehicles[vid]
-            maneuver = decisions[vid]
-            target = vehicle.lane + maneuver.lane_delta
-            interval = predicted_interval(vehicle, maneuver)
-            overlapping = any(interval[0] < hi and lo < interval[1]
-                              for lo, hi in av_claims.get(target, []))
-            if overlapping:
-                resolved[vid] = Maneuver(0, maneuver.accel)
-                vehicle.cooldown = 0
-                lane_to = vehicle.lane
-            else:
-                lane_to = target
-            claims.setdefault(lane_to, []).append(interval)
-            av_claims.setdefault(lane_to, []).append(interval)
-
-        for vid in changers:
-            vehicle = self.vehicles[vid]
-            maneuver = decisions[vid]
-            target = vehicle.lane + maneuver.lane_delta
-            interval = predicted_interval(vehicle, maneuver)
-            overlapping = any(interval[0] < hi and lo < interval[1]
-                              for lo, hi in claims.get(target, []))
-            if overlapping:
-                resolved[vid] = Maneuver(0, maneuver.accel)
-                vehicle.cooldown = 0
-                claims.setdefault(vehicle.lane, []).append(predicted_interval(vehicle, resolved[vid]))
-            else:
-                claims.setdefault(target, []).append(interval)
-        return resolved
-
-    def _apply(self, decisions: dict[str, Maneuver]) -> list[CollisionEvent]:
-        new_events: list[CollisionEvent] = []
-        decisions = self._resolve_lane_conflicts(decisions)
-        for vid, maneuver in decisions.items():
-            vehicle = self.vehicles.get(vid)
-            if vehicle is None:
-                continue
-            target_lane = vehicle.lane + maneuver.lane_delta
-            if not self.road.is_valid_lane(target_lane):
-                event = CollisionEvent(self.step_count, vid, None, "boundary")
-                new_events.append(event)
-                self.collisions.append(event)
-                target_lane = vehicle.lane  # stay on road after recording
-                maneuver = Maneuver(0, maneuver.accel)
-            v_floor = self.road.v_min if vehicle.is_autonomous else 0.0
-            vehicle.prev_accel = vehicle.accel
-            vehicle.accel = maneuver.accel
-            vehicle.state = vehicle.state.advanced(
-                maneuver.lane_delta, maneuver.accel,
-                v_min=v_floor, v_max=self.road.v_max)
-            self.history[vid].append(vehicle.state)
-
-        self._lane_hash = None
-        new_events.extend(self._detect_crashes())
-
-        # Sorted-vid order, as the vectorized step retires.
-        for vehicle in self.active_vehicles():
-            if vehicle.lon >= self.road.length:
-                vehicle.finish_time = self.step_count + 1
-                self.remove_vehicle(vehicle.vid)
-        return new_events
-
-    def _detect_crashes(self) -> list[CollisionEvent]:
-        index, vehicles = self._lanes()
-        events: list[CollisionEvent] = []
-        for lane_no in range(1, index.num_lanes + 1):
-            rows = index.order[index.starts[lane_no - 1]:index.starts[lane_no]]
-            in_lane = [vehicles[row] for row in rows.tolist()]
-            for follower, leader in zip(in_lane[:-1], in_lane[1:]):
-                if follower.gap_to(leader) < 0.0:
-                    event = CollisionEvent(self.step_count, follower.vid, leader.vid, "crash")
-                    events.append(event)
-                    self.collisions.append(event)
-        return events
 
     # ------------------------------------------------------------------
     # history access (used by the perception module)

@@ -10,28 +10,18 @@ follower would not need to brake harder than a safe limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .carfollowing import CarFollowingModel, FREE_ROAD_GAP, free_road_gap
-from .vehicle import DriverProfile, ProfileArrays, Vehicle
+from .carfollowing import CarFollowingModel, FREE_ROAD_GAP
+from .vehicle import ProfileArrays
 
-__all__ = ["LaneChangeDecision", "MOBIL"]
+__all__ = ["MOBIL"]
 
 #: Maximum deceleration (m/s^2) a lane change may impose on the new
 #: follower or require from the changer.  Must be strictly below the
 #: physical bound A_MAX: model accelerations are clamped to [-A_MAX,
 #: A_MAX], so a threshold at A_MAX could never reject anything.
 SAFE_DECEL = 2.0
-
-
-@dataclass(frozen=True)
-class LaneChangeDecision:
-    """Outcome of a lane-change evaluation: target delta and incentive."""
-
-    lane_delta: int
-    incentive: float
 
 
 class MOBIL:
@@ -49,79 +39,6 @@ class MOBIL:
         self.model = model
         self.safe_decel = safe_decel
 
-    def evaluate(self, vehicle: Vehicle,
-                 current_leader: Vehicle | None,
-                 side_leader: Vehicle | None,
-                 side_follower: Vehicle | None,
-                 lane_delta: int) -> LaneChangeDecision:
-        """Score one candidate adjacent lane.
-
-        Returns a decision whose ``incentive`` is ``-inf`` when the
-        safety criterion fails, so callers can pick the argmax across
-        candidates and compare against the driver threshold.
-        """
-        profile = vehicle.profile
-
-        own_now = self._accel(vehicle, current_leader, profile)
-        own_new = self._accel(vehicle, side_leader, profile)
-
-        if side_follower is not None:
-            gap_after = vehicle.rear - side_follower.lon
-            if gap_after <= max(side_follower.profile.min_gap, 1.0):
-                return LaneChangeDecision(lane_delta, float("-inf"))
-            follower_after = self.model.acceleration(
-                side_follower.v, vehicle.v, gap_after, side_follower.profile)
-            if follower_after < -self.safe_decel:
-                return LaneChangeDecision(lane_delta, float("-inf"))
-            follower_before_gap = (side_leader.rear - side_follower.lon
-                                   if side_leader is not None else free_road_gap())
-            follower_before = self.model.acceleration(
-                side_follower.v,
-                side_leader.v if side_leader is not None else 0.0,
-                follower_before_gap, side_follower.profile)
-            follower_cost = follower_before - follower_after
-        else:
-            follower_cost = 0.0
-
-        if side_leader is not None and vehicle.gap_to(side_leader) <= max(profile.min_gap, 1.0):
-            return LaneChangeDecision(lane_delta, float("-inf"))
-        # The changer itself must not need an emergency brake in the new lane.
-        if own_new < -self.safe_decel:
-            return LaneChangeDecision(lane_delta, float("-inf"))
-
-        incentive = (own_new - own_now) - profile.politeness * follower_cost
-        return LaneChangeDecision(lane_delta, incentive)
-
-    def decide(self, vehicle: Vehicle,
-               leader: Vehicle | None,
-               left: tuple[Vehicle | None, Vehicle | None] | None,
-               right: tuple[Vehicle | None, Vehicle | None] | None) -> int:
-        """Choose a lane delta in {-1, 0, +1}.
-
-        ``left``/``right`` are ``(leader, follower)`` pairs in the
-        adjacent lanes, or ``None`` when that lane does not exist.
-        """
-        candidates: list[LaneChangeDecision] = []
-        if left is not None:
-            candidates.append(self.evaluate(vehicle, leader, left[0], left[1], -1))
-        if right is not None:
-            candidates.append(self.evaluate(vehicle, leader, right[0], right[1], +1))
-        if not candidates:
-            return 0
-        best = max(candidates, key=lambda decision: decision.incentive)
-        if best.incentive > vehicle.profile.lane_change_threshold:
-            return best.lane_delta
-        return 0
-
-    def _accel(self, vehicle: Vehicle, leader: Vehicle | None,
-               profile: DriverProfile) -> float:
-        gap = vehicle.gap_to(leader) if leader is not None else free_road_gap()
-        leader_v = leader.v if leader is not None else 0.0
-        return self.model.acceleration(vehicle.v, leader_v, gap, profile)
-
-    # ------------------------------------------------------------------
-    # batched path (bit-identical to evaluate()/decide() above)
-    # ------------------------------------------------------------------
     def evaluate_batch(self, v: np.ndarray, rear: np.ndarray,
                        profiles: ProfileArrays,
                        ego: np.ndarray, follower: np.ndarray,
@@ -132,15 +49,19 @@ class MOBIL:
                        own_rows: np.ndarray, own_v: np.ndarray,
                        own_leader_v: np.ndarray, own_gap: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`evaluate` for one candidate direction.
+        """Score one candidate adjacent lane for every deciding vehicle.
 
+        The incentive is the changer's acceleration gain minus the
+        politeness-weighted cost to the new follower; it is ``-inf``
+        where the safety criterion fails (gap floors, or a deceleration
+        beyond ``safe_decel`` for the new follower or the changer).
         All arrays are aligned per deciding vehicle.  ``profiles`` holds
         the whole population; ``ego`` and ``follower`` map each row to
         its changer / prospective-follower profile row.  Rows where
         ``has_leader``/``has_follower`` are false may carry arbitrary
         finite values in the corresponding neighbor columns -- except
         ``leader_v``, which the caller must already mask to 0.0 -- and
-        they are masked exactly as the scalar path's ``None`` branches.
+        they are masked as if that neighbor were absent.
 
         ``own_rows``/``own_v``/``own_leader_v``/``own_gap`` describe
         each vehicle's *current-lane* car-following situation (already
@@ -187,12 +108,11 @@ class MOBIL:
     def decide_batch(self, incentive_left: np.ndarray, incentive_right: np.ndarray,
                      thresholds: np.ndarray, valid_left: np.ndarray,
                      valid_right: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`decide`: lane deltas in {-1, 0, +1} per row.
+        """Lane deltas in {-1, 0, +1} per row: the better side when its
+        incentive beats the driver's threshold, else keep the lane.
 
-        Invalid lanes are scored ``-inf``, which is outcome-equivalent
-        to the scalar path's missing candidate (it can never beat the
-        strict threshold).  Ties prefer left, matching ``max()`` over a
-        [left, right] candidate list.
+        Invalid lanes are scored ``-inf``, so they can never beat the
+        strict threshold.  Ties prefer left.
         """
         incentive_left = np.where(valid_left, incentive_left, -np.inf)
         incentive_right = np.where(valid_right, incentive_right, -np.inf)

@@ -115,7 +115,6 @@ def platoon(size: int = 5, headway: float = 25.0, speed: float = 20.0
 
 def dense_platoon(seed: int = 0, size: int = 30, num_lanes: int = 3,
                   road_length: float = 3000.0,
-                  reference: bool = False,
                   car_following: CarFollowingModel | None = None
                   ) -> SimulationEngine:
     """Packed CV-only traffic that stays on the road: the benchmark scene.
@@ -129,7 +128,7 @@ def dense_platoon(seed: int = 0, size: int = 30, num_lanes: int = 3,
     rng = default_generator(seed)
     engine = SimulationEngine(road=Road(length=road_length, num_lanes=num_lanes),
                               car_following=car_following,
-                              rng=rng, reference=reference)
+                              rng=rng)
     per_lane = (size + num_lanes - 1) // num_lanes
     spacing = 380.0 / per_lane
     placed = 0

@@ -15,8 +15,9 @@ Two query families share the index:
     returning an ``(M, 6)`` matrix of row indices (-1 when an area is
     empty).  Column ``k`` is area ``k+1``: front-left, front, front-
     right, rear-left, rear, rear-right.  The kernel is bit-identical to
-    the scalar :func:`repro.perception.neighbors.select_neighbors`
-    classifier, including its tie-breaking (see below).
+    the scalar per-pair classifier kept as the test oracle
+    ``tests/oracles/perception.py``, including its tie-breaking (see
+    below).
 
 Tie-breaking contract
 ---------------------
@@ -28,13 +29,13 @@ order inside a sorted run.  Rear queries therefore snap to the *first*
 row of an equal-longitude run; front queries land there automatically
 (``side='right'`` returns the first strictly-greater element).  Callers
 must supply rows in the scalar candidate-iteration order for ties to
-resolve identically — :func:`repro.perception.neighbors.
-select_neighbors_batch` does.
+resolve identically.
 
-Area semantics mirror ``area_of`` exactly: "ahead" is strictly greater
-longitude, so a same-lane candidate at the center's exact position is
-excluded (self-exclusion), while an *adjacent*-lane candidate exactly
-alongside counts as rear (areas 4/6 use an inclusive bound).
+Area semantics mirror the scalar classifier exactly: "ahead" is
+strictly greater longitude, so a same-lane candidate at the center's
+exact position is excluded (self-exclusion), while an *adjacent*-lane
+candidate exactly alongside counts as rear (areas 4/6 use an inclusive
+bound).
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ class SpatialHash:
         rows this hash was built from, or -1 when the area is empty.
         Centers that are themselves hash rows are excluded from their
         own same-lane areas by the strict bounds; an adjacent-lane
-        candidate exactly alongside lands in areas 4/6 (rear), matching
-        ``area_of``.
+        candidate exactly alongside lands in areas 4/6 (rear), as in the
+        scalar classifier.
         """
         count = center_lane.shape[0]
         if count <= 4:

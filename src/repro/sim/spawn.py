@@ -276,19 +276,15 @@ def insert_autonomous_fleet(engine: SimulationEngine, rng: np.random.Generator,
 def build_fleet_episode(seed: int, road: Road | None = None,
                         density_per_km: float = constants.DENSITY_PER_KM,
                         history_length: int = constants.HISTORY_STEPS + 1,
-                        car_following=None, reference: bool = False,
-                        num_avs: int = 1
+                        car_following=None, num_avs: int = 1
                         ) -> tuple[SimulationEngine, list[Vehicle]]:
     """Seeded episode with an M-vehicle autonomous fleet.
 
-    For ``num_avs=1`` this is exactly :func:`build_episode` (same RNG
-    consumption, same world, same AV) -- the M=1 bit-compat contract
-    the fleet equivalence suite pins down.
+    :func:`build_episode` is this function at ``num_avs=1``.
     """
     rng = default_generator(seed)
     engine = SimulationEngine(road=road or Road(), car_following=car_following,
-                              rng=rng, history_length=history_length,
-                              reference=reference)
+                              rng=rng, history_length=history_length)
     populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
     fleet = insert_autonomous_fleet(engine, rng, num_avs)
     return engine, fleet
@@ -297,19 +293,14 @@ def build_fleet_episode(seed: int, road: Road | None = None,
 def build_episode(seed: int, road: Road | None = None,
                   density_per_km: float = constants.DENSITY_PER_KM,
                   history_length: int = constants.HISTORY_STEPS + 1,
-                  car_following=None, reference: bool = False
-                  ) -> tuple[SimulationEngine, Vehicle]:
+                  car_following=None) -> tuple[SimulationEngine, Vehicle]:
     """Create a fully initialized episode: populated road plus the AV.
 
     Every episode is seeded so experiments are reproducible while each
     episode differs (the paper randomizes episode initialization).
-    ``car_following`` overrides the default Krauss model; ``reference``
-    selects the scalar engine path (for equivalence testing).
+    ``car_following`` overrides the default Krauss model.
     """
-    rng = default_generator(seed)
-    engine = SimulationEngine(road=road or Road(), car_following=car_following,
-                              rng=rng, history_length=history_length,
-                              reference=reference)
-    populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
-    autonomous = insert_autonomous_vehicle(engine, rng)
+    engine, (autonomous,) = build_fleet_episode(
+        seed, road=road, density_per_km=density_per_km,
+        history_length=history_length, car_following=car_following)
     return engine, autonomous

@@ -1,5 +1,7 @@
 """Focused tests for the rule-based and search-based decision baselines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,24 +13,22 @@ from repro.sim.vehicle import DriverProfile
 
 
 def scripted_env(vehicles, num_lanes=3, length=600.0, predictor=None):
-    """Environment seeded with an exact hand-placed scene."""
+    """Environment reset onto an exact hand-placed scene."""
     env = DrivingEnv(EnhancedPerception(predictor=predictor),
                      reward=HybridReward(), road=Road(length=length,
                                                       num_lanes=num_lanes),
                      density_per_km=0, max_steps=50)
-    # Monkey-build the episode: bypass build_episode for determinism.
     engine = SimulationEngine(road=env.road, rng=np.random.default_rng(0))
     for vid, lane, lon, v in vehicles:
         engine.add_vehicle(Vehicle(vid, VehicleState(lane, lon, v),
                                    is_autonomous=(vid == "av"),
                                    profile=DriverProfile(imperfection=0.0)))
-    env.engine = engine
-    env.perception.reset()
-    env.result = type(env.result)()
-    env._steps = 0
-    env._frame = env.perception.perceive(engine, "av")
-    from repro.decision.pamdp import build_augmented_state
-    return env, build_augmented_state(env._frame)
+    # The scene replaces the seeded spawn; reset itself runs unchanged.
+    scene = (engine, [engine.get("av")])
+    with mock.patch("repro.decision.fleet.build_fleet_episode",
+                    return_value=scene):
+        state = env.reset(0)
+    return env, state
 
 
 class TestRuleBased:

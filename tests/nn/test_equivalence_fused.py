@@ -11,7 +11,7 @@ refactored autograd core:
    pre-refactor closure engine -- prediction, loss and every parameter
    gradient must match to near machine precision.
 
-The reference implementations live in :mod:`repro.nn.reference`, a
+The reference implementations live in :mod:`tests.oracles.nn`, a
 frozen copy of the pre-refactor engine that must never be "optimized".
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.reference import (
+from tests.oracles.nn import (
     LegacyTensor,
     legacy_lstgat_step,
     per_head_graph_attention,
@@ -213,7 +213,7 @@ def test_end_to_end_golden_trace(golden, golden_model, golden_graph):
 def test_legacy_step_reproduces_golden_trace(golden, golden_model, golden_graph):
     """The frozen reference engine itself must still emit the golden trace.
 
-    If this fails, ``repro.nn.reference`` drifted -- which would quietly
+    If this fails, ``tests/oracles/nn.py`` drifted -- which would quietly
     invalidate both the equivalence suite and the benchmark baseline.
     """
     state = golden_model.state_dict()

@@ -1,8 +1,8 @@
 """Batched six-key-area kernel vs the scalar classifier (hypothesis).
 
-``select_neighbors_batch`` answers M queries through one
-``SpatialHash.six_area_neighbors`` call and promises bit-identical
-results to the scalar ``select_neighbors`` loop, *including*
+``SpatialHash.six_area_neighbors`` answers M queries in one call and
+promises bit-identical results to the scalar ``select_neighbors``
+oracle (``tests/oracles/perception.py``), *including*
 tie-breaking: equal-distance candidates resolve to the first one in
 candidate iteration order.  Longitudes are drawn from a coarse grid so
 exact ties (and exactly-alongside/exactly-coincident cases) are common
@@ -18,10 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perception.neighbors import (select_neighbors,
-                                        select_neighbors_batch)
 from repro.sim.spatial import SpatialHash
 from repro.sim.vehicle import VehicleState
+from tests.oracles.perception import select_neighbors
 
 NUM_LANES = 4
 
@@ -40,6 +39,24 @@ def states(min_lane, max_lane):
 #: from there); the kernel must return empty areas, not crash.
 candidate_states = states(1, NUM_LANES)
 center_states = states(0, NUM_LANES + 1)
+
+
+def select_neighbors_batch(centers, candidates, num_lanes):
+    """Kernel rows mapped back to candidate ids, one dict per center.
+
+    Hash rows follow the dict's iteration order, the order the scalar
+    classifier's tie-breaking depends on.
+    """
+    ids = list(candidates)
+    index = SpatialHash(
+        np.array([candidates[vid].lat for vid in ids], dtype=np.int64),
+        np.array([candidates[vid].lon for vid in ids], dtype=np.float64),
+        num_lanes)
+    matrix = index.six_area_neighbors(
+        np.array([state.lat for state in centers], dtype=np.int64),
+        np.array([state.lon for state in centers], dtype=np.float64))
+    return [{area: ids[row] for area, row in enumerate(rows, 1) if row >= 0}
+            for rows in matrix.tolist()]
 
 
 def as_dict(states):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.perception import (AREA_COUNT, MIRROR_AREA, ObservationBuffer,
-                              area_of, select_neighbors)
+from repro.perception import AREA_COUNT, MIRROR_AREA, ObservationBuffer
 from repro.sim import VehicleState
+from tests.oracles.perception import area_of, select_neighbors
 
 
 def state(lane, lon, v=10.0):

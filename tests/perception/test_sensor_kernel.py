@@ -2,8 +2,9 @@
 
 ``Sensor.observe`` runs range and occlusion as one pairwise slab pass;
 this suite pins it bit-for-bit against the scalar loop it replaced
-(``in_range`` + ``is_occluded`` per candidate, obstacles restricted to
-the in-range set), and pins the shared-``WorldArrays`` fleet path
+(``in_range`` + ``is_occluded`` per candidate from
+``tests/oracles/perception.py``, obstacles restricted to the in-range
+set), and pins the shared-``WorldArrays`` fleet path
 against the per-call gather.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.perception.sensor import Sensor, WorldArrays
 from repro.sim.road import Road
 from repro.sim.vehicle import VehicleState
+from tests.oracles.perception import in_range, is_occluded
 
 ROAD = Road(length=600.0)
 
@@ -22,11 +24,11 @@ ROAD = Road(length=600.0)
 def scalar_observe(sensor, ego_id, ego, world, road):
     """The pre-vectorization observe: per-candidate scalar tests."""
     candidates = {vid: state for vid, state in world.items()
-                  if vid != ego_id and sensor.in_range(ego, state, road)}
+                  if vid != ego_id and in_range(sensor, ego, state, road)}
     observed = {}
     for vid, state in candidates.items():
-        if not sensor.is_occluded(ego, state, candidates, road,
-                                  target_id=vid):
+        if not is_occluded(sensor, ego, state, candidates, road,
+                           target_id=vid):
             observed[vid] = state
     return observed
 

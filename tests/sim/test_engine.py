@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.sim import (
-    IDM, MOBIL, Maneuver, Road, SimulationEngine, TraCI, Vehicle, VehicleState,
-    build_episode, constants, insert_autonomous_vehicle, populate_traffic,
+    IDM, MOBIL, CarFollowingModel, Maneuver, Road, SimulationEngine, TraCI,
+    Vehicle, VehicleState, build_episode, constants, insert_autonomous_vehicle,
+    populate_traffic,
 )
 from repro.sim.vehicle import DriverProfile
+from tests.oracles import engine as oracle
 
 
 def make_engine(**kwargs) -> SimulationEngine:
@@ -190,11 +192,19 @@ def test_mobil_respects_safety_of_new_follower():
     put(engine, "slow", 2, 90.0, 2.0, autonomous=True)
     # A fast vehicle right behind in lane 1 makes the change unsafe.
     put(engine, "fast", 1, 78.0, 25.0, autonomous=True)
-    mobil = MOBIL(IDM())
-    decision = mobil.evaluate(changer, engine.leader_of(changer),
-                              engine.leader_of(changer, 1),
-                              engine.follower_of(changer, 1), -1)
+    decision = oracle.evaluate(MOBIL(IDM()), changer, engine.leader_of(changer),
+                               engine.leader_of(changer, 1),
+                               engine.follower_of(changer, 1), -1)
     assert decision.incentive == float("-inf")
+
+
+def test_car_following_model_without_batch_method_is_rejected():
+    class ScalarOnly(CarFollowingModel):
+        def acceleration(self, v, leader_v, gap, profile):
+            return 0.0
+
+    with pytest.raises(TypeError, match="ScalarOnly"):
+        SimulationEngine(car_following=ScalarOnly())
 
 
 def test_traci_facade_roundtrip():

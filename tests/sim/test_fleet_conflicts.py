@@ -2,11 +2,12 @@
 
 An M-vehicle fleet issues its lane commands synchronously from the
 state at ``t``, so two AVs can legitimately claim the same target gap.
-``SimulationEngine._resolve_lane_conflicts`` arbitrates in sorted-vid
+``SimulationEngine.step`` arbitrates in sorted-vid
 order (wave 2: AV-vs-AV only); these tests pin the arbitration outcome
-on constructed scenes and run scripted multi-AV fleets through the
-reference and vectorized engines in lockstep, demanding bit-identical
-worlds every step.
+on constructed scenes -- under the vectorized engine and the scalar
+oracle (``tests/oracles/engine.py``, parameter ``True``) -- and run
+scripted multi-AV fleets through both in lockstep, demanding
+bit-identical worlds every step.
 """
 
 import pytest
@@ -15,6 +16,11 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.road import Road
 from repro.sim.spawn import build_episode, build_fleet_episode, fleet_vids
 from repro.sim.vehicle import Vehicle, VehicleState
+from tests.oracles.engine import ScalarEngine, as_scalar, snapshot
+
+
+def make_engine(scalar):
+    return (ScalarEngine if scalar else SimulationEngine)(road=Road(length=1000.0))
 
 
 def make_av(vid, lane, lon, v=20.0):
@@ -22,19 +28,10 @@ def make_av(vid, lane, lon, v=20.0):
                    is_autonomous=True)
 
 
-def snapshot(engine):
-    return (
-        [(vid, vehicle.state.lat, vehicle.state.lon, vehicle.state.v)
-         for vid, vehicle in sorted(engine.vehicles.items())],
-        list(engine.collisions),
-        sorted(engine.retired),
-    )
-
-
-@pytest.mark.parametrize("reference", [False, True])
-def test_av_vs_av_same_gap_first_vid_wins(reference):
+@pytest.mark.parametrize("scalar", [False, True])
+def test_av_vs_av_same_gap_first_vid_wins(scalar):
     """Two AVs converge on one gap: sorted-vid order decides."""
-    engine = SimulationEngine(road=Road(length=1000.0), reference=reference)
+    engine = make_engine(scalar)
     engine.add_vehicle(make_av("av", lane=1, lon=100.0))
     engine.add_vehicle(make_av("av1", lane=3, lon=100.0))
     engine.set_maneuver("av", +1, 0.0)
@@ -47,10 +44,10 @@ def test_av_vs_av_same_gap_first_vid_wins(reference):
     assert engine.collisions == []
 
 
-@pytest.mark.parametrize("reference", [False, True])
-def test_non_overlapping_av_changes_both_succeed(reference):
+@pytest.mark.parametrize("scalar", [False, True])
+def test_non_overlapping_av_changes_both_succeed(scalar):
     """Same target lane but disjoint intervals: both changes go through."""
-    engine = SimulationEngine(road=Road(length=1000.0), reference=reference)
+    engine = make_engine(scalar)
     engine.add_vehicle(make_av("av", lane=1, lon=100.0))
     engine.add_vehicle(make_av("av1", lane=3, lon=200.0))
     engine.set_maneuver("av", +1, 0.0)
@@ -61,10 +58,10 @@ def test_non_overlapping_av_changes_both_succeed(reference):
     assert engine.collisions == []
 
 
-@pytest.mark.parametrize("reference", [False, True])
-def test_av_change_into_lane_keeping_av_aborts(reference):
+@pytest.mark.parametrize("scalar", [False, True])
+def test_av_change_into_lane_keeping_av_aborts(scalar):
     """A lane-keeping AV's claim blocks a mover (wave 1 vs wave 2)."""
-    engine = SimulationEngine(road=Road(length=1000.0), reference=reference)
+    engine = make_engine(scalar)
     engine.add_vehicle(make_av("av", lane=2, lon=100.0))
     engine.add_vehicle(make_av("av1", lane=1, lon=100.0))
     engine.set_maneuver("av", 0, 0.0)
@@ -93,12 +90,11 @@ def converging_commands(engine, av_ids, step):
 @pytest.mark.parametrize("num_avs, seed", [(2, 31), (4, 32), (8, 33)])
 def test_fleet_lockstep_reference_vs_vectorized(num_avs, seed):
     """Scripted converging fleets: both engines agree bit for bit."""
-    ref_engine, _ = build_fleet_episode(seed, reference=True,
-                                        num_avs=num_avs,
+    ref_engine, _ = build_fleet_episode(seed, num_avs=num_avs,
                                         density_per_km=120.0)
-    vec_engine, _ = build_fleet_episode(seed, reference=False,
-                                        num_avs=num_avs,
+    vec_engine, _ = build_fleet_episode(seed, num_avs=num_avs,
                                         density_per_km=120.0)
+    as_scalar(ref_engine)
     av_ids = fleet_vids(num_avs)
     assert snapshot(ref_engine) == snapshot(vec_engine)
     for step in range(150):

@@ -1,8 +1,9 @@
-"""Golden-trace equivalence: vectorized engine vs scalar reference.
+"""Golden-trace equivalence: vectorized engine vs scalar oracle.
 
-The vectorized conventional-vehicle step (``SimulationEngine._step_vectorized``)
-must produce **bit-identical** trajectories to the scalar loop kept as
-``reference=True``.  These tests run paired engines from identical seeds
+The vectorized step (``SimulationEngine.step``) must produce
+**bit-identical** trajectories to the scalar per-vehicle loop kept as
+the test oracle ``tests/oracles/engine.py``.  These tests run paired
+engines from identical seeds
 through hundreds of steps and require exact equality (``==`` on floats,
 no tolerance) of every vehicle's lane, position, and speed at every
 step, plus identical collision and retirement records.
@@ -19,16 +20,7 @@ import pytest
 
 from repro.sim import ACC, IDM, Road, build_episode
 from repro.sim.scenarios import dense_platoon
-
-
-def snapshot(engine):
-    """Exact state of the world: per-vehicle kinematics + event records."""
-    return (
-        [(vid, vehicle.state.lat, vehicle.state.lon, vehicle.state.v)
-         for vid, vehicle in sorted(engine.vehicles.items())],
-        list(engine.collisions),
-        sorted(engine.retired),
-    )
+from tests.oracles.engine import as_scalar, snapshot
 
 
 def assert_lockstep(reference, vectorized, steps, command=None):
@@ -49,10 +41,10 @@ def assert_lockstep(reference, vectorized, steps, command=None):
 
 
 def paired_episodes(seed, **kwargs):
-    ref_engine, ref_av = build_episode(seed, reference=True, **kwargs)
-    vec_engine, vec_av = build_episode(seed, reference=False, **kwargs)
+    ref_engine, ref_av = build_episode(seed, **kwargs)
+    vec_engine, vec_av = build_episode(seed, **kwargs)
     assert ref_av.vid == vec_av.vid
-    return ref_engine, vec_engine, ref_av.vid
+    return as_scalar(ref_engine), vec_engine, ref_av.vid
 
 
 @pytest.mark.parametrize("density", [60.0, 120.0, 180.0])
@@ -72,8 +64,8 @@ def test_alternative_car_following_models(model_factory, seed):
 
 def test_dense_platoon_benchmark_scene():
     """The CV-only benchmark workload: 30 vehicles, no retirements."""
-    reference = dense_platoon(seed=7, reference=True)
-    vectorized = dense_platoon(seed=7, reference=False)
+    reference = as_scalar(dense_platoon(seed=7))
+    vectorized = dense_platoon(seed=7)
     assert_lockstep(reference, vectorized, steps=200)
 
 
@@ -103,18 +95,17 @@ def test_scripted_av_maneuvers():
 def test_short_road_retirement_path():
     """Vehicles retire off the road end identically in both engines."""
     road = Road(length=400.0)
-    reference, _ = build_episode(21, road=road, density_per_km=100.0,
-                                 reference=True)
+    reference, _ = build_episode(21, road=road, density_per_km=100.0)
     vec_road = Road(length=400.0)
-    vectorized, _ = build_episode(21, road=vec_road, density_per_km=100.0,
-                                  reference=False)
+    vectorized, _ = build_episode(21, road=vec_road, density_per_km=100.0)
+    as_scalar(reference)
     assert_lockstep(reference, vectorized, steps=150)
 
 
 def test_rng_stream_stays_aligned():
     """After lockstep stepping, both engines' RNGs are in the same state."""
-    reference = dense_platoon(seed=5, reference=True)
-    vectorized = dense_platoon(seed=5, reference=False)
+    reference = as_scalar(dense_platoon(seed=5))
+    vectorized = dense_platoon(seed=5)
     assert_lockstep(reference, vectorized, steps=60)
     ref_next = reference.rng.random(4)
     vec_next = vectorized.rng.random(4)

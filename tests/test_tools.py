@@ -1,5 +1,8 @@
 """Tests for the auxiliary tooling: renderer, multistep rollout,
-bootstrap significance, and the CLI."""
+bootstrap significance, the CLI, and the src/tests boundary."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +137,31 @@ class TestCLI:
         assert main(["drive", "--seed", "3", "--steps", "3", "--every", "1"]) == 0
         output = capsys.readouterr().out
         assert "lane" in output
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_src_has_no_test_imports_or_reference_switches():
+    """Scalar oracles live in tests/oracles: ``src/`` never imports
+    ``tests``, and no sim/decision function takes a ``reference`` switch
+    to a second step path."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        package = path.relative_to(SRC).parts[0]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            problems += [f"{path}: imports {name}" for name in names
+                         if name.split(".")[0] == "tests"]
+            if package in ("sim", "decision") and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                problems += [f"{path}:{node.lineno}: {node.name}(reference=)"
+                             for param in ast.walk(node.args)
+                             if isinstance(param, ast.arg)
+                             and param.arg == "reference"]
+    assert not problems
