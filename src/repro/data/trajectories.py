@@ -13,7 +13,7 @@ heterogeneous speeds, 0.5 s sampling -- are preserved; see DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +112,7 @@ class TrajectorySet:
         return TrajectorySet(snapshots, road)
 
 
-def record_trajectories(engine: SimulationEngine, steps: int,
-                        include_retired: bool = False) -> TrajectorySet:
+def record_trajectories(engine: SimulationEngine, steps: int) -> TrajectorySet:
     """Run ``engine`` for ``steps`` steps recording every vehicle state."""
     snapshots: list[Snapshot] = []
     for _ in range(steps):
@@ -175,13 +174,13 @@ def _advance_slowdowns(engine: SimulationEngine, rng: np.random.Generator,
         vehicle = engine.vehicles.get(vid)
         if vehicle is None or steps_left <= 0:
             if vehicle is not None:
-                vehicle.profile.desired_speed = original
+                vehicle.profile = replace(vehicle.profile, desired_speed=original)
             del active[vid]
         else:
             active[vid] = (steps_left - 1, original)
     for vid, vehicle in engine.vehicles.items():
         if vid not in active and rng.random() < rate:
-            active[vid] = (duration, vehicle.profile.desired_speed)
-            vehicle.profile.desired_speed *= float(rng.uniform(0.25, 0.55))
-    # Profiles were mutated in place; the engine caches them as arrays.
-    engine.invalidate_profiles()
+            profile = vehicle.profile
+            active[vid] = (duration, profile.desired_speed)
+            vehicle.profile = replace(profile, desired_speed=profile.desired_speed
+                                      * float(rng.uniform(0.25, 0.55)))

@@ -191,14 +191,11 @@ def population_arrays(engine: SimulationEngine
 
     The trailing scan of :func:`build_step_record` needs them for every
     ego against the same post-step world; a fleet computes them once per
-    step and passes them to each record build.
+    step and passes them to each record build.  Dict (insertion) order
+    fixes the summation order of ``trailing_mean_velocity``.
     """
-    vids = list(engine.vehicles)
-    lons = np.fromiter((vehicle.lon for vehicle in engine.vehicles.values()),
-                       np.float64, count=len(vids))
-    speeds = np.fromiter((vehicle.v for vehicle in engine.vehicles.values()),
-                         np.float64, count=len(vids))
-    return vids, lons, speeds
+    order = engine.arrival_order()
+    return list(engine.vehicles), engine.columns.lon[order], engine.columns.v[order]
 
 
 def build_step_record(engine: SimulationEngine, av: Vehicle | None,

@@ -3,7 +3,7 @@
 :meth:`FleetEnv.step` is the one implementation of the paper's PAMDP
 transition (Eqs. 17-18 plus the Eq. 28 reward); the single-AV
 :class:`~repro.decision.environment.DrivingEnv` is a one-member fleet.
-M autonomous vehicles drive one struct-of-arrays world, and all
+M autonomous vehicles drive one engine whose world is columns, and all
 per-step fleet work becomes single stacked calls:
 
 * **perception** -- each AV keeps its own tracker/phantom state
@@ -288,15 +288,13 @@ class FleetEnv:
         :meth:`~repro.perception.module.EnhancedPerception.perceive`.
         """
         engine = self.engine
-        world = {vid: vehicle.state for vid, vehicle in engine.vehicles.items()}
-        arrays = WorldArrays(world, engine.road)
+        world = WorldArrays.from_engine(engine)
         perceptions = dict(zip(self.av_ids, self.perceptions))
         active = self.active_ids()
         scenes = []
         for vid in active:
             scenes.append(perceptions[vid].observe_scene(
-                vid, engine.get(vid).state, world, engine.road,
-                world_arrays=arrays))
+                vid, engine.get(vid).state, world, engine.road))
         graphs = build_graphs(scenes, engine.road)
         predictor = self.perceptions[0].predictor
         if predictor is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..perception.sensor import Sensor, clamp_measurement
+from ..perception.sensor import Sensor, WorldArrays, clamp_measurement
 from ..seeding import default_generator
 from ..sim import constants
 from ..sim.road import Road
@@ -218,9 +218,9 @@ class FaultySensor:
         self.injector = injector
 
     def observe(self, ego_id: str, ego: VehicleState,
-                world: dict[str, VehicleState], road: Road,
-                arrays=None) -> dict[str, VehicleState]:
-        observed = self.base.observe(ego_id, ego, world, road, arrays=arrays)
+                world: dict[str, VehicleState] | WorldArrays,
+                road: Road) -> dict[str, VehicleState]:
+        observed = self.base.observe(ego_id, ego, world, road)
         return self.injector.filter_observation(observed, road)
 
     def __getattr__(self, name: str):

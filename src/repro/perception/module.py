@@ -20,7 +20,7 @@ from ..sim.vehicle import VehicleState
 from .graph import SpatialTemporalGraph, build_graph
 from .phantom import PerceivedScene, build_scene
 from .predictor import StatePredictor
-from .sensor import Sensor
+from .sensor import Sensor, WorldArrays
 from .tracking import ObservationBuffer
 
 __all__ = ["PerceptionFrame", "EnhancedPerception"]
@@ -85,9 +85,8 @@ class EnhancedPerception:
 
     def perceive(self, engine: SimulationEngine, ego_id: str) -> PerceptionFrame:
         """Run one full perception cycle for one ego against the simulator."""
-        world = {vid: vehicle.state for vid, vehicle in engine.vehicles.items()}
-        scene = self.observe_scene(ego_id, engine.get(ego_id).state, world,
-                                   engine.road)
+        scene = self.observe_scene(ego_id, engine.get(ego_id).state,
+                                   WorldArrays.from_engine(engine), engine.road)
         graph = build_graph(scene, engine.road)
         if self.predictor is not None:
             prediction = self.predictor.predict(graph)
@@ -96,22 +95,20 @@ class EnhancedPerception:
         return PerceptionFrame(scene=scene, graph=graph, prediction=prediction)
 
     def observe_scene(self, ego_id: str, ego_state: VehicleState,
-                      world: dict[str, VehicleState], road: Road,
-                      world_arrays=None) -> PerceivedScene:
+                      world: dict[str, VehicleState] | WorldArrays,
+                      road: Road) -> PerceivedScene:
         """Sensor read, track update and phantom construction only.
 
         Fleet perception gathers all M AVs' scenes with this, assembles
         every graph in one stacked
         :func:`~repro.perception.graph.build_graphs` call and runs one
         :meth:`~repro.perception.predictor.StatePredictor.predict_many`
-        forward -- bit-identical per ego to :meth:`perceive`.
-        ``world_arrays`` optionally shares one pre-gathered
-        :class:`~repro.perception.sensor.WorldArrays` of the snapshot
-        across the fleet's sensors.
+        forward -- bit-identical per ego to :meth:`perceive`.  A fleet
+        passes one :class:`~repro.perception.sensor.WorldArrays` of the
+        snapshot as ``world`` to every AV.
         """
         self._ego_track.append(ego_state)
-        observed = self.sensor.observe(ego_id, ego_state, world, road,
-                                       arrays=world_arrays)
+        observed = self.sensor.observe(ego_id, ego_state, world, road)
         self.buffer.update(observed)
         scene = build_scene(ego_id, self.ego_history(), self.buffer, road,
                             detection_range=self.sensor.detection_range)

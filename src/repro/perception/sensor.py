@@ -46,26 +46,38 @@ def clamp_measurement(state: VehicleState, road: Road,
 
 
 class WorldArrays:
-    """Pre-gathered plan-view coordinate arrays of one world snapshot.
+    """Plan-view columns of one world snapshot, one row per vehicle.
 
-    The sensor's O(N) gather over the world dict is identical for every
-    ego observing the same snapshot, so a fleet builds this once per
-    step and hands it to each AV's :meth:`Sensor.observe` -- the per-AV
-    cost then no longer includes the gather.  Rows follow ``world``
-    iteration order and include every vehicle (each ego drops its own
-    row at query time).
+    Built once per snapshot and shared by every ego observing it, so a
+    fleet's per-AV sensing cost excludes the gather.  Rows follow the
+    world's insertion order and include every vehicle (each ego drops
+    its own row at query time); the sensor's noise draws follow that
+    order.
     """
 
-    __slots__ = ("ids", "position", "lon", "lat_m")
+    __slots__ = ("ids", "position", "lane", "lon", "v", "lat_m")
 
-    def __init__(self, world: dict[str, VehicleState], road: Road) -> None:
-        self.ids = list(world)
-        self.position = {vid: row for row, vid in enumerate(self.ids)}
-        count = len(self.ids)
-        self.lon = np.fromiter((state.lon for state in world.values()),
-                               dtype=np.float64, count=count)
-        self.lat_m = np.fromiter((state.lat for state in world.values()),
-                                 dtype=np.float64, count=count) * road.lane_width
+    def __init__(self, ids: list[str], lane: np.ndarray, lon: np.ndarray,
+                 v: np.ndarray, road: Road) -> None:
+        self.ids, self.lane, self.lon, self.v = ids, lane, lon, v
+        self.position = {vid: row for row, vid in enumerate(ids)}
+        self.lat_m = lane * road.lane_width
+
+    @classmethod
+    def from_states(cls, world: dict[str, VehicleState], road: Road) -> "WorldArrays":
+        """Columns of a ``{vid: state}`` snapshot, in dict order."""
+        states = list(world.values())
+        return cls(list(world), np.array([state.lat for state in states], dtype=np.int64),
+                   np.array([state.lon for state in states], dtype=np.float64),
+                   np.array([state.v for state in states], dtype=np.float64), road)
+
+    @classmethod
+    def from_engine(cls, engine) -> "WorldArrays":
+        """The engine's live columns, in the order vehicles were added."""
+        order = engine.arrival_order()
+        columns = engine.columns
+        return cls(list(engine.vehicles), columns.lane[order], columns.lon[order],
+                   columns.v[order], engine.road)
 
 
 @dataclass
@@ -100,15 +112,14 @@ class Sensor:
         self._noise_rng = default_generator(self.seed)
 
     def observe(self, ego_id: str, ego: VehicleState,
-                world: dict[str, VehicleState], road: Road,
-                arrays: WorldArrays | None = None) -> dict[str, VehicleState]:
+                world: dict[str, VehicleState] | WorldArrays,
+                road: Road) -> dict[str, VehicleState]:
         """Return the states of all vehicles this sensor can currently see.
 
-        ``world`` holds ground-truth states keyed by id (the simulator's
-        omniscient view); the result contains only in-range, unoccluded
-        vehicles, excluding the ego itself.  ``arrays`` optionally
-        supplies the pre-gathered :class:`WorldArrays` of the same
-        snapshot (fleet sharing); the result is identical either way.
+        ``world`` holds ground-truth states (the simulator's omniscient
+        view) keyed by id, or as :class:`WorldArrays` shared across a
+        fleet; the result contains only in-range, unoccluded vehicles,
+        excluding the ego itself, and is identical either way.
 
         The range and occlusion tests run as one vectorized pairwise
         slab (Liang-Barsky) pass over all candidates; touching only an
@@ -118,8 +129,8 @@ class Sensor:
         set is bit-identical to it (pinned by
         ``tests/perception/test_sensor_kernel.py``).
         """
-        if arrays is None:
-            arrays = WorldArrays(world, road)
+        arrays = world if isinstance(world, WorldArrays) \
+            else WorldArrays.from_states(world, road)
         ids, lon, lat_m = arrays.ids, arrays.lon, arrays.lat_m
         ego_row = arrays.position.get(ego_id)
         ego_y = ego.lat * road.lane_width
@@ -132,7 +143,6 @@ class Sensor:
             keep = keep[keep != ego_row]
         if keep.size == 0:
             return {}
-        candidates = [ids[index] for index in keep]
 
         # Occlusion: sight lines run between geometric centers (lon is
         # the front bumper, so centers sit half a length behind it).
@@ -173,8 +183,11 @@ class Sensor:
         hit[:, ego_like] = False
         occluded = hit.any(axis=1)
 
-        return {vid: self._measure(world[vid], road)
-                for vid, blocked in zip(candidates, occluded) if not blocked}
+        seen = keep[~occluded]
+        return {ids[row]: self._measure(VehicleState(lat, lon_row, v), road)
+                for row, lat, lon_row, v in zip(
+                    seen.tolist(), arrays.lane[seen].tolist(),
+                    lon[seen].tolist(), arrays.v[seen].tolist())}
 
     def _measure(self, state: VehicleState, road: Road) -> VehicleState:
         """Apply measurement noise to a detected state, envelope-clamped."""

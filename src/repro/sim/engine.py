@@ -14,12 +14,14 @@ step:
    and reported;
 5. vehicles that pass the road end are retired with their finish time.
 
-Per-vehicle state history is retained for the perception module.
+The world is columns: :class:`~repro.sim.vehicle.VehicleColumns` holds
+one array per vehicle field, the step reads and writes those arrays,
+and a :class:`~repro.sim.vehicle.Vehicle` is a handle on one row.  No
+past states are kept; perception keeps its own sensed tracks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import numpy as np
 
@@ -28,7 +30,7 @@ from .carfollowing import CarFollowingModel, FREE_ROAD_GAP, Krauss
 from .lanechange import MOBIL
 from .road import Road
 from .spatial import SpatialHash
-from .vehicle import ProfileArrays, Vehicle, VehicleState
+from .vehicle import ProfileArrays, Vehicle, VehicleColumns
 from ..seeding import resolve_rng
 
 __all__ = ["CollisionEvent", "SimulationEngine", "Maneuver"]
@@ -36,10 +38,6 @@ __all__ = ["CollisionEvent", "SimulationEngine", "Maneuver"]
 #: Lane-change cooldown for conventional vehicles (steps); 2 s, keeps
 #: MOBIL from oscillating between lanes, similar to SUMO's LC holddown.
 LANE_CHANGE_COOLDOWN = 4
-
-#: Shared one-element sentinel appended to each lane's id array so
-#: out-of-range searchsorted positions resolve to "no neighbor".
-_NO_NEIGHBOR = np.array([-1])
 
 #: Shared one-element 0.0 pad: appended to value arrays so gathering
 #: with a -1 neighbor index yields the masked-branch substitute value.
@@ -52,12 +50,37 @@ _ZERO = np.array([0.0])
 _HALF_DT_SQ = 0.5 * constants.DT * constants.DT
 
 
-def _drop_rows(items: list, rows: list[int]) -> list:
-    """A copy of ``items`` without the ascending positions ``rows``."""
-    kept = items.copy()
-    for row in reversed(rows):
-        del kept[row]
-    return kept
+def _abort_conflicting_changes(movers: np.ndarray, keepers: np.ndarray,
+                               lane: np.ndarray, lane_delta: np.ndarray,
+                               target: np.ndarray, cooldown: np.ndarray,
+                               claim_lo: np.ndarray, claim_hi: np.ndarray) -> None:
+    """Cancel, in row order, each lane change whose claimed interval
+    overlaps a keeper's claim in its target lane or an earlier mover's.
+
+    ``lane_delta``, ``target`` and ``cooldown`` are updated in place; an
+    aborted mover claims its interval in its own lane instead.
+    """
+    keeper_claims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    mover_claims: dict[int, list[tuple[float, float]]] = {}
+    for row in np.flatnonzero(movers):
+        lane_to = int(target[row])
+        if lane_to not in keeper_claims:
+            mask = keepers & (target == lane_to)
+            keeper_claims[lane_to] = (claim_lo[mask], claim_hi[mask])
+        lows, highs = keeper_claims[lane_to]
+        overlapping = bool(np.any((claim_lo[row] < highs)
+                                  & (lows < claim_hi[row])))
+        if not overlapping:
+            for low, high in mover_claims.get(lane_to, ()):
+                if claim_lo[row] < high and low < claim_hi[row]:
+                    overlapping = True
+                    break
+        if overlapping:
+            lane_delta[row] = 0
+            target[row] = lane[row]
+            cooldown[row] = 0
+            lane_to = int(lane[row])
+        mover_claims.setdefault(lane_to, []).append((claim_lo[row], claim_hi[row]))
 
 
 @dataclass(frozen=True)
@@ -83,7 +106,13 @@ class CollisionEvent:
 
 
 class SimulationEngine:
-    """Owns vehicles and advances the world clock.
+    """Owns the world's vehicles as columns and advances the world clock.
+
+    The population is one :class:`VehicleColumns` (``columns``) whose
+    rows are sorted by vehicle id, the order the step visits vehicles
+    in.  ``vehicles`` maps ids to :class:`Vehicle` row handles in the
+    order they were added; retired and discarded handles keep a
+    read-only copy of their final row.
 
     Parameters
     ----------
@@ -94,8 +123,6 @@ class SimulationEngine:
         SUMO).
     rng:
         Seeded generator driving stochastic driver imperfection.
-    history_length:
-        Number of past states retained per vehicle for perception.
 
     Raises ``TypeError`` when ``car_following`` has no
     ``acceleration_batch``: the step advances every vehicle at once.
@@ -103,8 +130,7 @@ class SimulationEngine:
 
     def __init__(self, road: Road | None = None,
                  car_following: CarFollowingModel | None = None,
-                 rng: np.random.Generator | None = None,
-                 history_length: int = constants.HISTORY_STEPS + 1) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         self.road = road or Road()
         self.car_following = car_following or Krauss()
         if not hasattr(self.car_following, "acceleration_batch"):
@@ -112,69 +138,105 @@ class SimulationEngine:
                             f"acceleration_batch, which SimulationEngine needs")
         self.lane_change = MOBIL(self.car_following)
         self.rng = resolve_rng(rng)
-        self.history_length = history_length
         self.step_count = 0
         self.vehicles: dict[str, Vehicle] = {}
-        self.history: dict[str, deque[VehicleState]] = {}
         self.collisions: list[CollisionEvent] = []
         self.retired: dict[str, Vehicle] = {}
+        self.columns = VehicleColumns(ProfileArrays.from_profiles([]))
+        self._rows: list[Vehicle] = []   # the handle behind each row
+        self._arrivals = 0
         self._pending: dict[str, Maneuver] = {}
-        # Lane index over the live vehicles for the object queries; built
-        # on first use, dropped whenever a position or the population
-        # changes.
-        self._lane_hash: tuple[SpatialHash, list[Vehicle]] | None = None
-        # Population generation: bumped on every add/remove/discard and
-        # retirement.  Caches keyed on it (sorted active list, static
-        # arrays) are rebuilt after add/remove/discard and compacted in
-        # place of a rebuild when a step retires vehicles.
-        self._generation = 0
-        self._active_cache: list[Vehicle] = []
-        self._active_generation = -1
-        self._static_cache: tuple | None = None
-        self._static_generation = -1
-        self._soa_cache: tuple | None = None
-        self._profile_cache: ProfileArrays | None = None
-        self._ego_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._lane_targets = np.arange(1, self.road.num_lanes + 2)
 
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
     def add_vehicle(self, vehicle: Vehicle) -> Vehicle:
-        """Register a vehicle; raises on duplicate ids or invalid lanes."""
-        if vehicle.vid in self.vehicles:
-            raise ValueError(f"duplicate vehicle id {vehicle.vid!r}")
-        if not self.road.is_valid_lane(vehicle.lane):
-            raise ValueError(f"vehicle {vehicle.vid!r} placed on invalid lane {vehicle.lane}")
-        vehicle.spawn_time = self.step_count
-        self.vehicles[vehicle.vid] = vehicle
-        self.history[vehicle.vid] = deque([vehicle.state], maxlen=self.history_length)
-        self._population_changed()
+        """Register a vehicle; raises on duplicate ids or invalid lanes.
+
+        The one-vehicle case of :meth:`add_vehicles`: the engine adopts
+        the handle, and its reads and writes go to its new row.
+        """
+        self._adopt([vehicle], vehicle._table.take([vehicle._row]))
         return vehicle
+
+    def add_vehicles(self, vids: list[str], rows: VehicleColumns) -> list[Vehicle]:
+        """Register one vehicle per row of ``rows``; return their handles."""
+        if len(vids) != len(rows.lon):
+            raise ValueError(f"{len(vids)} ids for {len(rows.lon)} rows")
+        handles = [object.__new__(Vehicle) for _ in vids]
+        for row, (handle, vid) in enumerate(zip(handles, vids)):
+            handle.vid, handle.finish_time, handle._table, handle._row = vid, None, rows, row
+        self._adopt(handles, rows)
+        return handles
+
+    def _adopt(self, handles: list[Vehicle], rows: VehicleColumns) -> None:
+        """Merge ``rows`` (row k behind ``handles[k]``) into the columns."""
+        vids = [handle.vid for handle in handles]
+        seen = set(self.vehicles)
+        for vid in vids:
+            if vid in seen:
+                raise ValueError(f"duplicate vehicle id {vid!r}")
+            seen.add(vid)
+        invalid = np.flatnonzero((rows.lane < 1) | (rows.lane > self.road.num_lanes))
+        if invalid.size:
+            raise ValueError(f"vehicle {vids[invalid[0]]!r} placed on invalid "
+                             f"lane {rows.lane[invalid[0]]}")
+        existing = len(self._rows)
+        merged = self.columns.concat(rows)
+        merged.spawn_time[existing:] = self.step_count
+        merged.arrival[existing:] = self._arrivals + np.arange(len(handles))
+        self._arrivals += len(handles)
+        everyone = self._rows + handles
+        ids = [handle.vid for handle in self._rows] + vids
+        order = sorted(range(len(everyone)), key=ids.__getitem__)
+        self.columns.assign(merged.take(np.array(order, dtype=np.int64)))
+        self._rows = [everyone[row] for row in order]
+        self._renumber()
+        for handle in handles:
+            self.vehicles[handle.vid] = handle
 
     def remove_vehicle(self, vid: str) -> None:
         """Retire a vehicle (e.g. it finished the road)."""
-        vehicle = self.vehicles.pop(vid, None)
-        if vehicle is not None:
+        for vehicle in self._remove_id(vid):
             self.retired[vid] = vehicle
-            self._population_changed()
 
     def discard_vehicle(self, vid: str) -> None:
         """Drop a vehicle from the world without marking it retired.
 
         ``retired`` means "finished the road" to the reward/outcome
         code, so taking a crashed fleet AV out of the simulation must
-        not go through :meth:`remove_vehicle`.  History is kept so
-        perception can still read the final track.
+        not go through :meth:`remove_vehicle`.  The handle keeps a
+        read-only copy of its final state.
         """
-        if self.vehicles.pop(vid, None) is not None:
-            self._population_changed()
+        self._remove_id(vid)
 
-    def _population_changed(self) -> None:
-        self._generation += 1
-        self._lane_hash = None
-        self._soa_cache = None
-        self._profile_cache = None
+    def _remove_id(self, vid: str) -> list[Vehicle]:
+        row = self.vehicles[vid]._row if vid in self.vehicles else -1
+        return self._remove(np.arange(len(self._rows)) != row)
+
+    def _remove(self, keep: np.ndarray) -> list[Vehicle]:
+        """Drop the rows where ``keep`` is False; return their handles
+        (in row order), detached onto a read-only copy of their rows."""
+        gone = [self._rows[row] for row in np.flatnonzero(~keep).tolist()]
+        final = self.columns.take(~keep).freeze()
+        for row, vehicle in enumerate(gone):
+            vehicle._table, vehicle._row = final, row
+            del self.vehicles[vehicle.vid]
+        self.columns.assign(self.columns.take(keep))
+        self._rows = [vehicle for vehicle, kept in zip(self._rows, keep.tolist())
+                      if kept]
+        self._renumber()
+        return gone
+
+    def _renumber(self) -> None:
+        table = self.columns
+        for row, vehicle in enumerate(self._rows):
+            vehicle._table = table
+            vehicle._row = row
+
+    def arrival_order(self) -> np.ndarray:
+        """Rows in the order their vehicles were added (``vehicles`` order)."""
+        return np.argsort(self.columns.arrival)
 
     # ------------------------------------------------------------------
     # queries
@@ -184,47 +246,37 @@ class SimulationEngine:
         return self.vehicles[vid]
 
     def active_vehicles(self) -> list[Vehicle]:
-        """Return live vehicles sorted by id for deterministic iteration.
+        """Live vehicles sorted by id (row order), as a new list."""
+        return list(self._rows)
 
-        The sorted list is cached behind the population generation
-        counter -- callers must treat it as read-only.
+    def _lane_index(self) -> SpatialHash:
+        """The lane index over the current rows.
+
+        Built at the end of every step and on the first query after a
+        position write or population change.  Its ``lexsort`` runs over
+        the rows newest first and is stable, so an equal-longitude run
+        keeps that order: a leader query (first row of the run ahead)
+        returns the last-added vehicle and a follower query (last row of
+        the run behind) the first-added one.
         """
-        if self._active_generation != self._generation:
-            self._active_cache = [self.vehicles[vid] for vid in sorted(self.vehicles)]
-            self._active_generation = self._generation
-        return self._active_cache
-
-    def _lanes(self) -> tuple[SpatialHash, list[Vehicle]]:
-        """The lane index and the vehicle behind each of its rows.
-
-        Rows are the vehicles in reverse insertion order.  ``lexsort``
-        is stable, so an equal-longitude run keeps that order: a leader
-        query (first row of the run ahead) returns the last-inserted
-        vehicle and a follower query (last row of the run behind) the
-        first-inserted one.
-        """
-        if self._lane_hash is None:
-            vehicles = list(reversed(self.vehicles.values()))
-            count = len(vehicles)
-            lane = np.fromiter((vehicle.state.lat for vehicle in vehicles),
-                               dtype=np.int64, count=count)
-            lon = np.fromiter((vehicle.state.lon for vehicle in vehicles),
-                              dtype=np.float64, count=count)
-            self._lane_hash = (SpatialHash(lane, lon, self.road.num_lanes,
-                                           self._lane_targets), vehicles)
-        return self._lane_hash
+        table = self.columns
+        if table.index is None:
+            newest_first = np.argsort(-table.arrival)
+            index = SpatialHash(table.lane[newest_first], table.lon[newest_first],
+                                self.road.num_lanes)
+            index.order = newest_first[index.order]  # back to engine rows
+            table.index = index
+        return table.index
 
     def leader_in_lane(self, lane: int, lon: float) -> Vehicle | None:
         """Nearest vehicle strictly ahead of ``lon`` in ``lane``."""
-        index, vehicles = self._lanes()
-        row = index.leader(lane, lon)
-        return vehicles[row] if row >= 0 else None
+        row = self._lane_index().leader(lane, lon)
+        return self._rows[row] if row >= 0 else None
 
     def follower_in_lane(self, lane: int, lon: float) -> Vehicle | None:
         """Nearest vehicle strictly behind ``lon`` in ``lane``."""
-        index, vehicles = self._lanes()
-        row = index.follower(lane, lon)
-        return vehicles[row] if row >= 0 else None
+        row = self._lane_index().follower(lane, lon)
+        return self._rows[row] if row >= 0 else None
 
     def leader_of(self, vehicle: Vehicle, lane: int | None = None) -> Vehicle | None:
         """Leader of ``vehicle`` in its own (or a given) lane."""
@@ -239,17 +291,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # control
     # ------------------------------------------------------------------
-    def invalidate_profiles(self) -> None:
-        """Drop the cached driver-parameter arrays.
-
-        The vectorized step reads :class:`DriverProfile` fields through
-        a struct-of-arrays view cached until the population changes.
-        Code that mutates a live vehicle's profile mid-run (e.g. the
-        synthetic-trajectory slowdown events) must call this so the next
-        step sees the new parameters.
-        """
-        self._profile_cache = None
-
     def set_maneuver(self, vid: str, lane_delta: int, accel: float) -> None:
         """Command an externally controlled vehicle for the next step.
 
@@ -275,71 +316,30 @@ class SimulationEngine:
         """
         return self.rng.random((count, 2)) if count else None
 
-    def _static_arrays(self, vehicles: list[Vehicle]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray, bool]:
-        """Lengths, autonomy flags (and their negation / any-AV flag),
-        and per-vehicle velocity floors, cached behind the population
-        generation counter."""
-        if self._static_generation != self._generation:
-            count = len(vehicles)
-            is_av = np.fromiter((vehicle.is_autonomous for vehicle in vehicles),
-                                dtype=bool, count=count)
-            self._static_cache = (
-                np.fromiter((vehicle.length for vehicle in vehicles),
-                            dtype=np.float64, count=count),
-                is_av,
-                np.where(is_av, self.road.v_min, 0.0),
-                ~is_av,
-                bool(is_av.any()),
-            )
-            self._static_generation = self._generation
-        return self._static_cache
-
     def step(self) -> list[CollisionEvent]:
         """Advance the world by one 0.5 s step; return new collisions.
 
-        Every vehicle advances at once on struct-of-arrays state.  The
-        formulas transcribe the scalar per-vehicle loop kept as the
+        Every vehicle advances at once: the step reads the engine's
+        columns and writes its results back into them.  The formulas
+        transcribe the scalar per-vehicle loop kept as the
         test oracle (``tests/oracles/engine.py``) with identical
         operation order (see docs/performance.md), so positions,
         velocities, lanes, cooldowns, collision events and RNG draws
         match it bit for bit.
         """
         new_events: list[CollisionEvent] = []
-        # SoA carryover: the arrays written at the end of the previous
-        # step double as this step's input, skipping the object gather.
-        # Retirement compacts it (see _retire); add/remove/discard null
-        # it.  Valid only while no external code replaced a state or
-        # cooldown in between (checked by object identity / value below).
-        cached = self._soa_cache
-        if cached is not None \
-                and [vehicle.state for vehicle in cached[0]] == cached[1] \
-                and [vehicle.cooldown for vehicle in cached[0]] == cached[6]:
-            vehicles, _, lane, lon, v, cooldown, _, deques = cached
-            count = len(vehicles)
-        else:
-            vehicles = self.active_vehicles()
-            count = len(vehicles)
-            lane = np.fromiter((vehicle.state.lat for vehicle in vehicles),
-                               dtype=np.int64, count=count)
-            lon = np.fromiter((vehicle.state.lon for vehicle in vehicles),
-                              dtype=np.float64, count=count)
-            v = np.fromiter((vehicle.state.v for vehicle in vehicles),
-                            dtype=np.float64, count=count)
-            cooldown = np.fromiter((vehicle.cooldown for vehicle in vehicles),
-                                   dtype=np.int64, count=count)
-            deques = [self.history[vehicle.vid] for vehicle in vehicles]
+        vehicles = self._rows
+        count = len(vehicles)
         if count == 0:
             self._pending.clear()
             self.step_count += 1
             return new_events
-        length, is_av, v_floor, not_av, has_av = self._static_arrays(vehicles)
-        profiles = self._profile_cache
-        if profiles is None:
-            profiles = ProfileArrays.from_profiles(
-                vehicle.profile for vehicle in vehicles)
-            self._profile_cache = profiles
+        table = self.columns
+        lane, lon, v, cooldown = table.lane, table.lon, table.v, table.cooldown
+        length, is_av, profiles = table.length, table.is_autonomous, table.profiles
+        v_floor = np.where(is_av, self.road.v_min, 0.0)
+        not_av = ~is_av
+        has_av = bool(is_av.any())
         rear = lon - length
 
         lane_delta = np.zeros(count, dtype=np.int64)
@@ -349,18 +349,20 @@ class SimulationEngine:
         if self._pending:
             accel = np.zeros(count)
             pending = np.zeros(count, dtype=bool)
-            for row, vehicle in enumerate(vehicles):
-                maneuver = self._pending.get(vehicle.vid)
-                if maneuver is not None:
-                    pending[row] = True
-                    lane_delta[row] = maneuver.lane_delta
-                    accel[row] = maneuver.accel
-                    if maneuver.lane_delta != 0:
-                        any_delta = True
-                        if not vehicle.is_autonomous:
-                            cv_changers = True
-                        else:
-                            av_changers = True
+            for vid, maneuver in self._pending.items():
+                vehicle = self.vehicles.get(vid)
+                if vehicle is None:
+                    continue
+                row = vehicle._row
+                pending[row] = True
+                lane_delta[row] = maneuver.lane_delta
+                accel[row] = maneuver.accel
+                if maneuver.lane_delta != 0:
+                    any_delta = True
+                    if not is_av[row]:
+                        cv_changers = True
+                    else:
+                        av_changers = True
             conventional = ~(is_av | pending)
             all_conventional = False
             may_off_road = True
@@ -376,9 +378,9 @@ class SimulationEngine:
             may_off_road = False
 
         # One lane-sorted pass answers every neighbor query of the step:
-        # own-lane leaders plus both adjacent-lane leader/follower pairs.
-        lanes = SpatialHash(lane, lon, self.road.num_lanes, self._lane_targets)
-        leaders3, followers3 = lanes.neighbors(
+        # own-lane leaders plus both adjacent-lane leader/follower pairs,
+        # from the lane index the previous step left behind.
+        leaders3, followers3 = self._lane_index().neighbors(
             np.concatenate((lane, lane - 1, lane + 1)),
             np.concatenate((lon, lon, lon)))
         own_leader = leaders3[:count]
@@ -418,12 +420,8 @@ class SimulationEngine:
             side_follower = followers3[count:]
             has_leader = side_leader >= 0
             has_follower = side_follower >= 0
-            cache = self._ego_cache
-            if cache is None or cache[0].shape[0] != count:
-                rows = np.arange(count)
-                cache = (rows, np.concatenate((rows, rows)))
-                self._ego_cache = cache
-            rows, ego = cache
+            rows = np.arange(count)
+            ego = np.concatenate((rows, rows))
             lon_ext = np.concatenate((lon, _ZERO))
             lon2 = np.concatenate((lon, lon))
             leader_rear = rear_ext[side_leader]
@@ -527,58 +525,13 @@ class SimulationEngine:
             claim_hi = predicted + 1.0
         if av_changers:
             av_mover = (lane_delta != 0) & is_av
-            av_keeper = is_av & ~av_mover
-            av_keeper_claims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            av_extra: dict[int, list[tuple[float, float]]] = {}
-            for row in np.flatnonzero(av_mover):
-                lane_to = int(target[row])
-                if lane_to not in av_keeper_claims:
-                    mask = av_keeper & (target == lane_to)
-                    av_keeper_claims[lane_to] = (claim_lo[mask], claim_hi[mask])
-                lows, highs = av_keeper_claims[lane_to]
-                overlapping = bool(np.any((claim_lo[row] < highs)
-                                          & (lows < claim_hi[row])))
-                if not overlapping:
-                    for low, high in av_extra.get(lane_to, ()):
-                        if claim_lo[row] < high and low < claim_hi[row]:
-                            overlapping = True
-                            break
-                if overlapping:
-                    lane_delta[row] = 0
-                    target[row] = lane[row]
-                    cooldown[row] = 0
-                    av_extra.setdefault(int(lane[row]), []).append(
-                        (claim_lo[row], claim_hi[row]))
-                else:
-                    av_extra.setdefault(lane_to, []).append(
-                        (claim_lo[row], claim_hi[row]))
+            _abort_conflicting_changes(av_mover, is_av & ~av_mover, lane,
+                                       lane_delta, target, cooldown,
+                                       claim_lo, claim_hi)
         if cv_changers:
             changer = (lane_delta != 0) & not_av
-            keeper = ~changer
-            keeper_claims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            extra_claims: dict[int, list[tuple[float, float]]] = {}
-            for row in np.flatnonzero(changer):
-                lane_to = int(target[row])
-                if lane_to not in keeper_claims:
-                    mask = keeper & (target == lane_to)
-                    keeper_claims[lane_to] = (claim_lo[mask], claim_hi[mask])
-                lows, highs = keeper_claims[lane_to]
-                overlapping = bool(np.any((claim_lo[row] < highs)
-                                          & (lows < claim_hi[row])))
-                if not overlapping:
-                    for low, high in extra_claims.get(lane_to, ()):
-                        if claim_lo[row] < high and low < claim_hi[row]:
-                            overlapping = True
-                            break
-                if overlapping:
-                    lane_delta[row] = 0
-                    target[row] = lane[row]
-                    cooldown[row] = 0
-                    extra_claims.setdefault(int(lane[row]), []).append(
-                        (claim_lo[row], claim_hi[row]))
-                else:
-                    extra_claims.setdefault(lane_to, []).append(
-                        (claim_lo[row], claim_hi[row]))
+            _abort_conflicting_changes(changer, ~changer, lane, lane_delta,
+                                       target, cooldown, claim_lo, claim_hi)
 
         # Boundary events (driving off the road laterally), sorted-vid
         # order; only externally commanded maneuvers can leave the road.
@@ -598,33 +551,12 @@ class SimulationEngine:
                            self.road.v_max)
         new_lon = lon + v * constants.DT + accel * _HALF_DT_SQ
 
-        lat_list = target.tolist()
-        lon_list = new_lon.tolist()
-        v_list = new_v.tolist()
-        accel_list = accel.tolist()
-        cooldown_list = cooldown.tolist()
-        states: list[VehicleState] = []
-        record_state = states.append
-        new_instance = object.__new__
-        # States are built by writing the instance dict directly: the
-        # frozen-dataclass constructor routes every field through
-        # object.__setattr__, a measurable cost at one state per vehicle
-        # per step.  The objects are identical (same fields, eq, hash).
-        for vehicle, lat_next, lon_next, v_next, accel_next, cd_next, past in zip(
-                vehicles, lat_list, lon_list, v_list, accel_list,
-                cooldown_list, deques):
-            vehicle.prev_accel = vehicle.accel
-            vehicle.accel = accel_next
-            state = new_instance(VehicleState)
-            state_dict = state.__dict__
-            state_dict["lat"] = lat_next
-            state_dict["lon"] = lon_next
-            state_dict["v"] = v_next
-            vehicle.state = state
-            vehicle.cooldown = cd_next
-            past.append(state)
-            record_state(state)
-        self._lane_hash = None
+        table.prev_accel = table.accel
+        table.accel = accel
+        table.lane = target
+        table.lon = new_lon
+        table.v = new_v
+        table.cooldown = cooldown
 
         # Crash detection on the advanced state: consecutive same-lane
         # pairs, lanes ascending then positions ascending.
@@ -642,62 +574,17 @@ class SimulationEngine:
             new_events.append(event)
             self.collisions.append(event)
 
-        # The arrays just written back are next step's inputs.
-        soa = (vehicles, states, target, new_lon, new_v, cooldown,
-               cooldown_list, deques)
         finished = new_lon >= self.road.length
         if finished.any():
-            soa = self._retire(finished, soa, profiles)
-        self._soa_cache = soa
+            for vehicle in self._remove(~finished):
+                vehicle.finish_time = self.step_count + 1
+                self.retired[vehicle.vid] = vehicle
+        table.index = None
+        self._lane_index()
 
         self._pending.clear()
         self.step_count += 1
         return new_events
-
-    def _retire(self, finished: np.ndarray, soa: tuple,
-                profiles: ProfileArrays) -> tuple:
-        """Retire the ``finished`` rows and compact the step caches.
-
-        Deleting rows keeps sorted-vid order, so the active list, static
-        arrays, profile columns and SoA tuple left behind equal what a
-        fresh gather over the survivors would build; the next step skips
-        that O(N) walk over vehicle objects.  Returns the compacted SoA.
-        """
-        vehicles = soa[0]
-        gone = np.flatnonzero(finished).tolist()
-        for row in gone:
-            vehicle = vehicles[row]
-            vehicle.finish_time = self.step_count + 1
-            del self.vehicles[vehicle.vid]
-            self.retired[vehicle.vid] = vehicle
-        keep = ~finished
-        soa = tuple(_drop_rows(part, gone) if isinstance(part, list) else part[keep]
-                    for part in soa)
-        length, is_av, v_floor, not_av, _ = self._static_cache
-        is_av = is_av[keep]
-        self._generation += 1
-        self._active_cache = soa[0]
-        self._active_generation = self._generation
-        self._static_cache = (length[keep], is_av, v_floor[keep], not_av[keep],
-                              bool(is_av.any()))
-        self._static_generation = self._generation
-        self._profile_cache = profiles.take(keep)
-        return soa
-
-    # ------------------------------------------------------------------
-    # history access (used by the perception module)
-    # ------------------------------------------------------------------
-    def state_history(self, vid: str, steps: int) -> list[VehicleState]:
-        """Return the most recent ``steps`` states (oldest first).
-
-        Pads by repeating the oldest known state when the vehicle has
-        been alive for fewer steps, which mirrors a sensor that has just
-        acquired a track.
-        """
-        recorded = list(self.history[vid])[-steps:]
-        if len(recorded) < steps:
-            recorded = [recorded[0]] * (steps - len(recorded)) + recorded
-        return recorded
 
     def density_per_km(self) -> float:
         """Current total vehicle density across all lanes (veh/km)."""

@@ -60,22 +60,16 @@ class SpatialHash:
         Longitudinal position per row.
     num_lanes:
         Number of lanes on the road.
-    lane_targets:
-        Optional precomputed ``arange(1, num_lanes + 2)`` (the engine
-        passes its cached copy); built on demand otherwise.
     """
 
     __slots__ = ("order", "sorted_lon", "starts", "num_lanes", "_lane_ids")
 
-    def __init__(self, lane: np.ndarray, lon: np.ndarray, num_lanes: int,
-                 lane_targets: np.ndarray | None = None) -> None:
+    def __init__(self, lane: np.ndarray, lon: np.ndarray, num_lanes: int) -> None:
         self.order = np.lexsort((lon, lane))
         sorted_lane = lane[self.order]
         self.sorted_lon = lon[self.order]
-        if lane_targets is None:
-            lane_targets = np.arange(1, num_lanes + 2)
         # python-int starts keep the query loop off numpy scalar indexing.
-        self.starts = sorted_lane.searchsorted(lane_targets).tolist()
+        self.starts = sorted_lane.searchsorted(np.arange(1, num_lanes + 2)).tolist()
         self.num_lanes = num_lanes
         self._lane_ids: dict[int, np.ndarray] = {}
 
@@ -138,7 +132,8 @@ class SpatialHash:
 
     def _lane_pass(self, query_lane: np.ndarray, query_lon: np.ndarray,
                    inclusive_rear: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest front/rear row index per query against one lane column.
+        """Nearest front/rear row index per query against one lane column
+        (the batched half of :meth:`six_area_neighbors`).
 
         ``inclusive_rear`` selects the adjacent-lane semantics where a
         candidate exactly alongside (equal lon) counts as rear; the
@@ -152,33 +147,6 @@ class SpatialHash:
         starts = self.starts
         sorted_lon = self.sorted_lon
         num_lanes = self.num_lanes
-        if count <= 4:
-            # Scalar fast path: perception-side queries are one ego or a
-            # handful of targets, where per-row searchsorted beats the
-            # fixed cost of masked vectorized assembly.  The arithmetic
-            # is the same calls on the same arrays, so results are
-            # identical to the vectorized branch below.
-            for row, lane_no in enumerate(query_lane.tolist()):
-                if lane_no < 1 or lane_no > num_lanes:
-                    continue
-                start = starts[lane_no - 1]
-                stop = starts[lane_no]
-                if start == stop:
-                    continue
-                segment = sorted_lon[start:stop]
-                ids = self._ids_with_sentinel(lane_no, start, stop)
-                value = query_lon[row]
-                first_greater = segment.searchsorted(value, side="right")
-                front[row] = ids[first_greater]
-                if inclusive_rear:
-                    rear_pos = first_greater - 1
-                else:
-                    rear_pos = segment.searchsorted(value, side="left") - 1
-                if rear_pos >= 0:
-                    rear_pos = segment.searchsorted(segment[rear_pos],
-                                                    side="left")
-                rear[row] = ids[rear_pos]
-            return front, rear
         # Iterate only lanes present in the query: fleet-side queries are
         # a handful of rows spanning at most three lanes, so scanning all
         # lanes would spend the whole pass on empty-mask bookkeeping.

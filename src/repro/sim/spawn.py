@@ -15,7 +15,7 @@ from ..seeding import default_generator
 from . import constants
 from .engine import SimulationEngine
 from .road import Road
-from .vehicle import DriverProfile, Vehicle, VehicleState
+from .vehicle import DriverProfile, ProfileArrays, Vehicle, VehicleColumns, VehicleState
 
 __all__ = ["random_profile", "populate_traffic", "insert_autonomous_vehicle",
            "build_episode", "fleet_vids", "insert_autonomous_fleet",
@@ -138,45 +138,50 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
         values[:, 1] *= road.v_max
         velocity = np.minimum(np.maximum(values[:, 1] * values[:, 9], road.v_min),
                               road.v_max)
+        # Skip placements that would overlap the previous vehicle.
+        placed: list[int] = []
         previous: float | None = None
-        for lon_next, fields, v_next in zip(lon.tolist(), values[:, _PROFILE].tolist(),
-                                            velocity.tolist()):
-            # Skip placements that would overlap the previous vehicle.
+        for slot, lon_next in enumerate(lon.tolist()):
             if previous is not None and lon_next - previous < min_space:
                 continue
-            created.append(engine.add_vehicle(Vehicle(
-                vid=f"cv{len(created)}",
-                state=VehicleState(lat=lane, lon=lon_next, v=v_next),
-                profile=DriverProfile(*fields),
-            )))
+            placed.append(slot)
             previous = lon_next
-    _equilibrate_speeds(engine, created)
+        created += engine.add_vehicles(
+            [f"cv{len(created) + index}" for index in range(len(placed))],
+            VehicleColumns(ProfileArrays(*values[placed, _PROFILE].T),
+                           lane=lane, lon=lon[placed], v=velocity[placed]))
+    _equilibrate_speeds(engine)
     return created
 
 
-def _equilibrate_speeds(engine: SimulationEngine, vehicles: list[Vehicle]) -> None:
+def _equilibrate_speeds(engine: SimulationEngine) -> None:
     """Cap initial speeds so the starting state is dynamically feasible.
 
     Sampled speeds can be inconsistent with sampled gaps (a fast
     follower close behind a slow leader cannot avoid a crash no matter
-    what it does).  Walking each lane front to back, each vehicle's
-    speed is limited to the Krauss safe speed for its actual leader, so
-    episodes never begin in a doomed configuration.
+    what it does).  Walking each lane front to back (equal longitudes
+    in the order the vehicles were added), each vehicle's speed is
+    limited to the Krauss safe speed for its actual leader, so episodes
+    never begin in a doomed configuration.
     """
-    by_lane: dict[int, list[Vehicle]] = {}
-    for vehicle in vehicles:
-        by_lane.setdefault(vehicle.lane, []).append(vehicle)
-    for lane_vehicles in by_lane.values():
-        lane_vehicles.sort(key=lambda vehicle: -vehicle.lon)
-        for leader, follower in zip(lane_vehicles[:-1], lane_vehicles[1:]):
-            gap = max(follower.gap_to(leader) - follower.profile.min_gap, 0.0)
-            brake = follower.profile.comfort_decel
-            tau = 1.0
-            v_safe = leader.v + (gap - leader.v * tau) / ((follower.v + leader.v) / (2.0 * brake) + tau)
-            v_safe = max(v_safe, 0.0)
-            if follower.v > v_safe:
-                follower.state = VehicleState(follower.lane, follower.lon, v_safe)
-                engine.history[follower.vid][-1] = follower.state
+    columns = engine.columns
+    order = np.lexsort((columns.arrival, -columns.lon, columns.lane))
+    lane, lon, rear, min_gap, comfort_decel, v = (
+        column[order].tolist() for column in (
+            columns.lane, columns.lon, columns.lon - columns.length,
+            columns.profiles.min_gap, columns.profiles.comfort_decel, columns.v))
+    tau = 1.0
+    for leader in range(len(order) - 1):
+        follower = leader + 1
+        if lane[follower] != lane[leader]:
+            continue
+        gap = max(rear[leader] - lon[follower] - min_gap[follower], 0.0)
+        brake = comfort_decel[follower]
+        v_safe = v[leader] + (gap - v[leader] * tau) / ((v[follower] + v[leader]) / (2.0 * brake) + tau)
+        v_safe = max(v_safe, 0.0)
+        if v[follower] > v_safe:
+            v[follower] = v_safe
+    columns.v[order] = v
 
 
 def replenish_traffic(engine: SimulationEngine, rng: np.random.Generator,
@@ -261,10 +266,12 @@ def insert_autonomous_fleet(engine: SimulationEngine, rng: np.random.Generator,
         lane = int(rng.integers(1, road.num_lanes + 1))
         velocity = float(rng.uniform(0.5, 0.8) * road.v_max)
         lon = index * road.length / count
-        for other in list(engine.vehicles.values()):
-            if other.lane == lane and not other.is_autonomous \
-                    and abs(other.lon - lon) <= SPAWN_CLEARANCE:
-                engine.discard_vehicle(other.vid)
+        columns = engine.columns
+        near = np.flatnonzero((columns.lane == lane) & ~columns.is_autonomous
+                              & (np.abs(columns.lon - lon) <= SPAWN_CLEARANCE))
+        rows = engine.active_vehicles()
+        for row in near.tolist():
+            engine.discard_vehicle(rows[row].vid)
         fleet.append(engine.add_vehicle(Vehicle(
             vid=vids[index],
             state=VehicleState(lat=lane, lon=lon, v=velocity),
@@ -275,7 +282,6 @@ def insert_autonomous_fleet(engine: SimulationEngine, rng: np.random.Generator,
 
 def build_fleet_episode(seed: int, road: Road | None = None,
                         density_per_km: float = constants.DENSITY_PER_KM,
-                        history_length: int = constants.HISTORY_STEPS + 1,
                         car_following=None, num_avs: int = 1
                         ) -> tuple[SimulationEngine, list[Vehicle]]:
     """Seeded episode with an M-vehicle autonomous fleet.
@@ -284,7 +290,7 @@ def build_fleet_episode(seed: int, road: Road | None = None,
     """
     rng = default_generator(seed)
     engine = SimulationEngine(road=road or Road(), car_following=car_following,
-                              rng=rng, history_length=history_length)
+                              rng=rng)
     populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
     fleet = insert_autonomous_fleet(engine, rng, num_avs)
     return engine, fleet
@@ -292,7 +298,6 @@ def build_fleet_episode(seed: int, road: Road | None = None,
 
 def build_episode(seed: int, road: Road | None = None,
                   density_per_km: float = constants.DENSITY_PER_KM,
-                  history_length: int = constants.HISTORY_STEPS + 1,
                   car_following=None) -> tuple[SimulationEngine, Vehicle]:
     """Create a fully initialized episode: populated road plus the AV.
 
@@ -302,5 +307,5 @@ def build_episode(seed: int, road: Road | None = None,
     """
     engine, (autonomous,) = build_fleet_episode(
         seed, road=road, density_per_km=density_per_km,
-        history_length=history_length, car_following=car_following)
+        car_following=car_following)
     return engine, autonomous

@@ -1,13 +1,16 @@
-"""Vehicle state containers.
+"""Vehicle state: columns for the world, row handles for one vehicle.
 
 A vehicle carries kinematic state (lane, longitudinal position,
 velocity), the most recent commanded acceleration (needed by the jerk
 comfort term), and driver-model parameters for conventional vehicles.
+:class:`VehicleColumns` holds these as one numpy array per field and
+one row per vehicle; the simulation engine keeps its whole population
+in one instance.  A :class:`Vehicle` is a handle on one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -15,7 +18,8 @@ import numpy as np
 
 from . import constants
 
-__all__ = ["VehicleState", "Vehicle", "DriverProfile", "ProfileArrays", "ProfileView"]
+__all__ = ["VehicleState", "Vehicle", "VehicleColumns", "DriverProfile",
+           "ProfileArrays", "ProfileView"]
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,14 @@ class VehicleState:
         return VehicleState(lat=self.lat + lane_delta, lon=new_lon, v=new_v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriverProfile:
     """Heterogeneous human-driver parameters for conventional vehicles.
 
     Randomizing these per vehicle produces the diverse, NGSIM-like
     traffic mix the paper evaluates in (and generates REAL from).
+    Frozen: a vehicle's profile lives in its row, so a change is an
+    assignment, ``vehicle.profile = dataclasses.replace(...)``.
     """
 
     desired_speed: float = constants.V_MAX
@@ -82,13 +88,7 @@ class ProfileArrays:
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[DriverProfile]) -> "ProfileArrays":
-        """Gather one column per parameter from driver profiles.
-
-        The engine caches the result until the population changes;
-        profiles are mutable, so code that rewrites one mid-run (e.g.
-        the synthetic-trajectory slowdown events) must call
-        ``SimulationEngine.invalidate_profiles``.
-        """
+        """Gather one column per parameter from driver profiles."""
         rows = [(profile.desired_speed, profile.time_headway, profile.min_gap,
                  profile.max_accel, profile.comfort_decel, profile.politeness,
                  profile.lane_change_threshold, profile.imperfection)
@@ -97,13 +97,15 @@ class ProfileArrays:
             return cls(*np.empty((len(fields(cls)), 0)))
         return cls(*np.ascontiguousarray(np.array(rows).T))
 
+    def columns(self) -> list[np.ndarray]:
+        """The base columns, in ``DriverProfile`` field order."""
+        return [self.desired_speed, self.time_headway, self.min_gap,
+                self.max_accel, self.comfort_decel, self.politeness,
+                self.lane_change_threshold, self.imperfection]
+
     def take(self, indices: np.ndarray) -> "ProfileArrays":
         """Row-gather every column (numpy fancy-indexing semantics)."""
-        return ProfileArrays(
-            self.desired_speed[indices], self.time_headway[indices],
-            self.min_gap[indices], self.max_accel[indices],
-            self.comfort_decel[indices], self.politeness[indices],
-            self.lane_change_threshold[indices], self.imperfection[indices])
+        return ProfileArrays(*(column[indices] for column in self.columns()))
 
     def view(self, rows: np.ndarray) -> "ProfileView":
         """Lazy row-gather: columns materialize on first access.
@@ -118,9 +120,12 @@ class ProfileArrays:
 
     # Derived columns the models would otherwise recompute per step.
     # These are pure hoists -- the same operations on the same inputs as
-    # the scalar formulas, evaluated once per profile-cache lifetime --
-    # so the bit-identity guarantee is unaffected.  (cached_property
-    # stores into the instance dict, which a frozen dataclass permits.)
+    # the scalar formulas, evaluated once per instance -- so the
+    # bit-identity guarantee is unaffected.  A profile write swaps in a
+    # fresh instance over the written columns (see Vehicle.profile), so
+    # no derived column computed before a write is read after it.
+    # (cached_property stores into the instance dict, which a frozen
+    # dataclass permits.)
 
     @cached_property
     def max_accel_step(self) -> np.ndarray:
@@ -181,38 +186,162 @@ class ProfileView:
         return column
 
 
-@dataclass
+#: Per-vehicle columns besides the profile: name -> (dtype, default).
+#: ``arrival`` numbers vehicles in the order the engine added them.
+_COLUMNS = {
+    "lane": (np.int64, 0),
+    "lon": (np.float64, 0.0),
+    "v": (np.float64, 0.0),
+    "accel": (np.float64, 0.0),
+    "prev_accel": (np.float64, 0.0),
+    "cooldown": (np.int64, 0),
+    "length": (np.float64, constants.VEHICLE_LENGTH),
+    "is_autonomous": (bool, False),
+    "spawn_time": (np.int64, 0),
+    "arrival": (np.int64, 0),
+}
+
+
+class VehicleColumns:
+    """A population of vehicles as columns, one row per vehicle.
+
+    Every field of ``_COLUMNS`` is one numpy array, and ``profiles``
+    holds the driver parameters; a column not given takes its default
+    in every row.  ``index`` is the lane index over the current rows
+    (kept by the engine) or None when a position or the population
+    changed since it was built.
+    """
+
+    __slots__ = (*_COLUMNS, "profiles", "index")
+
+    def __init__(self, profiles: ProfileArrays, **columns) -> None:
+        count = len(profiles.desired_speed)
+        for name, (dtype, default) in _COLUMNS.items():
+            column = np.empty(count, dtype=dtype)
+            column[:] = columns.pop(name, default)
+            setattr(self, name, column)
+        if columns:
+            raise TypeError(f"unknown vehicle columns: {sorted(columns)}")
+        self.profiles = profiles
+        self.index = None
+
+    def take(self, rows) -> "VehicleColumns":
+        """A copy of the given rows (numpy fancy-indexing semantics)."""
+        return VehicleColumns(self.profiles.take(rows), **{
+            name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    def concat(self, other: "VehicleColumns") -> "VehicleColumns":
+        """These rows followed by ``other``'s, as a new instance."""
+        return VehicleColumns(
+            ProfileArrays(*map(np.concatenate, zip(self.profiles.columns(),
+                                                   other.profiles.columns()))),
+            **{name: np.concatenate((getattr(self, name), getattr(other, name)))
+               for name in _COLUMNS})
+
+    def assign(self, other: "VehicleColumns") -> None:
+        """Take over ``other``'s rows in place; the lane index goes stale."""
+        for name in _COLUMNS:
+            setattr(self, name, getattr(other, name))
+        self.profiles = other.profiles
+        self.index = None
+
+    def freeze(self) -> "VehicleColumns":
+        """Make every column read-only; returns ``self``."""
+        for column in [*(getattr(self, name) for name in _COLUMNS),
+                       *self.profiles.columns()]:
+            column.flags.writeable = False
+        return self
+
+
+def _column(name: str, doc: str, writable: bool = True) -> property:
+    """Property reading (and writing) the handle's row of column ``name``."""
+    def read(vehicle: "Vehicle"):
+        return getattr(vehicle._table, name).item(vehicle._row)
+
+    def write(vehicle: "Vehicle", value) -> None:
+        getattr(vehicle._table, name)[vehicle._row] = value
+
+    return property(read, write if writable else None, doc=doc)
+
+
 class Vehicle:
-    """Mutable vehicle record owned by the simulation engine."""
+    """A handle on one vehicle's row of a :class:`VehicleColumns`.
 
-    vid: str
-    state: VehicleState
-    length: float = constants.VEHICLE_LENGTH
-    is_autonomous: bool = False
-    profile: DriverProfile = field(default_factory=DriverProfile)
-    accel: float = 0.0
-    prev_accel: float = 0.0
-    spawn_time: int = 0
-    finish_time: int | None = None
-    cooldown: int = 0
+    A vehicle built by hand holds its values in a one-row table of its
+    own.  ``SimulationEngine.add_vehicle`` adopts it: from then on every
+    read and write goes to its row of the engine's columns, so the next
+    step sees the write.  Retiring or discarding it detaches it again
+    onto a read-only copy of its final row.
+    """
+
+    __slots__ = ("vid", "finish_time", "_table", "_row")
+
+    def __init__(self, vid: str, state: VehicleState,
+                 length: float = constants.VEHICLE_LENGTH,
+                 is_autonomous: bool = False,
+                 profile: DriverProfile = DriverProfile(),
+                 accel: float = 0.0, prev_accel: float = 0.0,
+                 spawn_time: int = 0, finish_time: int | None = None,
+                 cooldown: int = 0) -> None:
+        self.vid = vid
+        self.finish_time = finish_time
+        self._table = VehicleColumns(
+            ProfileArrays.from_profiles([profile]), lane=state.lat,
+            lon=state.lon, v=state.v, length=length,
+            is_autonomous=is_autonomous, accel=accel, prev_accel=prev_accel,
+            spawn_time=spawn_time, cooldown=cooldown)
+        self._row = 0
+
+    lane = _column("lane", "Lane number (the paper's ``.lat``).", writable=False)
+    lon = _column("lon", "Front-bumper position from the road origin (m).",
+                  writable=False)
+    v = _column("v", "Longitudinal velocity (m/s).", writable=False)
+    accel = _column("accel", "Acceleration commanded at the last step.")
+    prev_accel = _column("prev_accel", "Acceleration of the step before.")
+    cooldown = _column("cooldown", "Steps until MOBIL may change lane again.")
+    length = _column("length", "Vehicle length (m).")
+    is_autonomous = _column("is_autonomous", "Whether the decision stack drives it.")
+    spawn_time = _column("spawn_time", "Step at which the engine added it.")
 
     @property
-    def lane(self) -> int:
-        return self.state.lat
+    def state(self) -> VehicleState:
+        """Kinematic snapshot; assigning one moves the vehicle."""
+        table, row = self._table, self._row
+        return VehicleState(table.lane.item(row), table.lon.item(row),
+                            table.v.item(row))
+
+    @state.setter
+    def state(self, state: VehicleState) -> None:
+        table, row = self._table, self._row
+        table.lane[row] = state.lat
+        table.lon[row] = state.lon
+        table.v[row] = state.v
+        table.index = None
 
     @property
-    def lon(self) -> float:
-        return self.state.lon
+    def profile(self) -> DriverProfile:
+        """Driver parameters; assign a new profile to change them."""
+        return DriverProfile(*[column.item(self._row)
+                               for column in self._table.profiles.columns()])
 
-    @property
-    def v(self) -> float:
-        return self.state.v
+    @profile.setter
+    def profile(self, profile: DriverProfile) -> None:
+        # The columns change in place under a fresh ProfileArrays, so no
+        # derived column outlives the write.
+        table = self._table
+        columns = table.profiles.columns()
+        for column, value in zip(columns, astuple(profile)):
+            column[self._row] = value
+        table.profiles = ProfileArrays(*columns)
 
     @property
     def rear(self) -> float:
         """Longitudinal position of the rear bumper."""
-        return self.state.lon - self.length
+        return self.lon - self.length
 
     def gap_to(self, leader: "Vehicle") -> float:
         """Bumper-to-bumper gap to a leader in the same lane (m)."""
-        return leader.rear - self.state.lon
+        return leader.rear - self.lon
+
+    def __repr__(self) -> str:
+        return f"Vehicle({self.vid!r}, {self.state})"

@@ -10,9 +10,8 @@ one :class:`~repro.faults.injector.FaultInjector`.
 A fingerprint covers every step's action, reward terms, step record
 (floats as ``float.hex()``) and augmented-state bytes, the
 :class:`~repro.decision.environment.EpisodeResult` flags, the fault log,
-and the final world: the last state of every vehicle in
-``engine.history`` (so also those that retired or left), the retired
-ids and every collision event.
+and the final world: the last state of every live and retired
+vehicle handle, the retired ids and every collision event.
 """
 
 import hashlib
@@ -88,11 +87,11 @@ def fingerprint(env, seed, script, faults=None):
         action = script(len(rows) - 1, env.av.lane, env.road)
         rows.append(encode((action, *env.step(action))))
     engine, result = env.engine, env.result
-    history = engine.history
+    world = {**engine.vehicles, **engine.retired}
     rows += [encode((result.finished, result.collided, result.steps,
                      result.total_reward)),
              faults.log.as_dict() if faults is not None else None,
-             encode([(vid, history[vid][-1]) for vid in sorted(history)]),
+             encode([(vid, world[vid].state) for vid in sorted(world)]),
              sorted(engine.retired), encode(engine.collisions)]
     return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 

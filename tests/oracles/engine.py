@@ -258,9 +258,7 @@ class ScalarEngine(SimulationEngine):
             vehicle.state = vehicle.state.advanced(
                 maneuver.lane_delta, maneuver.accel,
                 v_min=v_floor, v_max=self.road.v_max)
-            self.history[vid].append(vehicle.state)
 
-        self._lane_hash = None
         new_events.extend(self._detect_crashes())
 
         # Sorted-vid order, as the vectorized step retires.
@@ -271,7 +269,7 @@ class ScalarEngine(SimulationEngine):
         return new_events
 
     def _detect_crashes(self) -> list[CollisionEvent]:
-        index, vehicles = self._lanes()
+        index, vehicles = self._lane_index(), self.active_vehicles()
         events: list[CollisionEvent] = []
         for lane_no in range(1, index.num_lanes + 1):
             rows = index.order[index.starts[lane_no - 1]:index.starts[lane_no]]

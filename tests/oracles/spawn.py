@@ -62,7 +62,7 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
             )))
             previous = lon
             counter += 1
-    _equilibrate_speeds(engine, created)
+    _equilibrate_speeds(engine)
     return created
 
 

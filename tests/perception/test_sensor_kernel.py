@@ -65,17 +65,17 @@ def test_world_arrays_path_is_identical(seed, count):
     rng = np.random.default_rng(seed)
     world = random_world(rng, count)
     sensor = Sensor()
-    arrays = WorldArrays(world, ROAD)
+    arrays = WorldArrays.from_states(world, ROAD)
     ego_id = f"v{int(rng.integers(0, count))}"
     ego = world[ego_id]
-    assert (sensor.observe(ego_id, ego, world, ROAD, arrays=arrays)
+    assert (sensor.observe(ego_id, ego, arrays, ROAD)
             == sensor.observe(ego_id, ego, world, ROAD))
 
 
 def test_world_arrays_layout():
     world = {"a": VehicleState(lat=1, lon=10.0, v=5.0),
              "b": VehicleState(lat=3, lon=40.0, v=8.0)}
-    arrays = WorldArrays(world, ROAD)
+    arrays = WorldArrays.from_states(world, ROAD)
     assert arrays.ids == ["a", "b"]
     assert arrays.position == {"a": 0, "b": 1}
     np.testing.assert_array_equal(arrays.lon, [10.0, 40.0])
@@ -127,9 +127,8 @@ def test_empty_world_and_lone_ego():
     sensor = Sensor()
     assert sensor.observe("ego", ego, {}, ROAD) == {}
     assert sensor.observe("ego", ego, {"ego": ego}, ROAD) == {}
-    arrays = WorldArrays({"ego": ego}, ROAD)
-    assert sensor.observe("ego", ego, {"ego": ego}, ROAD,
-                          arrays=arrays) == {}
+    arrays = WorldArrays.from_states({"ego": ego}, ROAD)
+    assert sensor.observe("ego", ego, arrays, ROAD) == {}
 
 
 @pytest.mark.parametrize("noise", [0.5, 2.0])
@@ -140,6 +139,6 @@ def test_noisy_measurements_identical_across_paths(noise):
     ego_id, ego = "v3", world["v3"]
     plain = Sensor(position_noise=noise, seed=42)
     shared = Sensor(position_noise=noise, seed=42)
-    arrays = WorldArrays(world, ROAD)
+    arrays = WorldArrays.from_states(world, ROAD)
     assert (plain.observe(ego_id, ego, world, ROAD)
-            == shared.observe(ego_id, ego, world, ROAD, arrays=arrays))
+            == shared.observe(ego_id, ego, arrays, ROAD))

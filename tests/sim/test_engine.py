@@ -1,4 +1,4 @@
-"""Tests for the simulation engine: stepping, queries, collisions, history."""
+"""Tests for the simulation engine: stepping, queries, collisions."""
 
 import numpy as np
 import pytest
@@ -134,17 +134,6 @@ def test_vehicle_retires_past_road_end():
     engine.step()
     assert "a" not in engine.vehicles
     assert engine.retired["a"].finish_time == 1
-
-
-def test_history_recording_and_padding():
-    engine = make_engine(history_length=6)
-    av = put(engine, "av", 1, 10.0, 10.0, autonomous=True)
-    engine.set_maneuver("av", 0, 1.0)
-    engine.step()
-    history = engine.state_history("av", 5)
-    assert len(history) == 5
-    assert history[0] == history[1] == history[2] == history[3]
-    assert history[-1] == av.state
 
 
 def test_jerk_bookkeeping_prev_accel():

@@ -9,9 +9,13 @@ first-inserted one.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim.engine as engine_module
+from repro.decision.fleet import FleetEnv
+from repro.decision.pamdp import LaneBehavior, ParameterizedAction
+from repro.perception.module import EnhancedPerception
 from repro.sim import Road, SimulationEngine, Vehicle, VehicleState, build_episode
 
 NUM_LANES = 4
@@ -75,3 +79,36 @@ def test_episode_build_constructs_at_most_one_lane_index(monkeypatch):
     monkeypatch.setattr(engine_module, "SpatialHash", CountingHash)
     build_episode(0, Road(length=3000.0), 180)
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize("num_avs", [1, 4])
+def test_steady_fleet_step_builds_one_lane_index(monkeypatch, num_avs):
+    """The step's neighbor pass and the queries between steps share the
+    index the previous step built over its post-step positions."""
+    built = []
+
+    class CountingHash(engine_module.SpatialHash):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "SpatialHash", CountingHash)
+    env = FleetEnv([EnhancedPerception(predictor=None) for _ in range(num_avs)],
+                   road=Road(length=1000.0), density_per_km=120.0)
+    env.reset(0)
+    keep = ParameterizedAction(LaneBehavior.KEEP, 0.0)
+    env.step({vid: keep for vid in env.active_ids()})
+    for _ in range(6):
+        built.clear()
+        env.step({vid: keep for vid in env.active_ids()})
+        assert len(built) == 1
+        engine = env.engine
+        for vehicle in engine.active_vehicles():
+            engine.leader_of(vehicle)
+            engine.follower_of(vehicle, vehicle.lane + 1)
+        assert len(built) == 1
+    assert len(env.active_ids()) == num_avs
+    # The step itself builds the index over its post-step positions.
+    built.clear()
+    env.engine.step()
+    assert len(built) == 1
