@@ -33,17 +33,17 @@ class AggressivePolicy(Controller):
     def select_action(self, env, state) -> ParameterizedAction:
         av = env.av
         scene = env.frame.scene
-        front = scene.targets[2]
+        front = scene.node(2)
         behavior = LaneBehavior.KEEP
         accel = constants.A_MAX
         if front.kind is not TrackKind.ZERO:
-            gap = front.current.lon - constants.VEHICLE_LENGTH - av.lon
+            gap = front.lon - constants.VEHICLE_LENGTH - av.lon
             if gap < 8.0:
                 # Late hard brake, or barge into a neighbor lane.
                 for candidate, area in ((LaneBehavior.LEFT, 1), (LaneBehavior.RIGHT, 3)):
                     lane = av.lane + candidate.lane_delta
-                    side = scene.targets[area]
-                    side_gap = (abs(side.current.lon - av.lon)
+                    side = scene.node(area)
+                    side_gap = (abs(side.lon - av.lon)
                                 if side.kind is not TrackKind.ZERO else 1e9)
                     if env.road.is_valid_lane(lane) and side_gap > 12.0:
                         behavior = candidate

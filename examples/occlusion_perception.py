@@ -58,21 +58,22 @@ def main() -> None:
     area_names = {1: "front-left", 2: "front", 3: "front-right",
                   4: "rear-left", 5: "rear", 6: "rear-right"}
     for area in range(1, 7):
-        target = frame.scene.targets[area]
-        label = target.vid or target.kind.value
-        state = target.current
+        target = frame.scene.node(area)
+        label = target.vid or target.kind.label
         print(f"  C{area} ({area_names[area]:>11}): {label:<18} "
-              f"lane {state.lat:>2}  lon {state.lon:7.1f}  v {state.v:5.1f}")
+              f"lane {target.lane:>2}  lon {target.lon:7.1f}  v {target.v:5.1f}")
 
-    phantoms = [(key, node) for key, node in frame.scene.surroundings.items()
+    surroundings = {(i, j): frame.scene.node(i, j)
+                    for i in range(1, 7) for j in range(1, 7)}
+    phantoms = [(key, node) for key, node in surroundings.items()
                 if node.kind.is_phantom]
     print(f"\n{frame.scene.phantom_count()} phantom nodes constructed; "
           f"examples among the surroundings:")
     for (i, j), node in phantoms[:5]:
-        print(f"  C{i}.{j}: {node.kind.value:<18} lane {node.current.lat:>2} "
-              f"lon {node.current.lon:7.1f}")
+        print(f"  C{i}.{j}: {node.kind.label:<18} lane {node.lane:>2} "
+              f"lon {node.lon:7.1f}")
 
-    occluded = [key for key, node in frame.scene.surroundings.items()
+    occluded = [key for key, node in surroundings.items()
                 if node.kind is TrackKind.PHANTOM_OCCLUSION]
     print(f"occlusion phantoms at: {occluded}")
 

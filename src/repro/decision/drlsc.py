@@ -122,10 +122,10 @@ class DRLSCController(Controller):
                 behavior = LaneBehavior.KEEP
 
         leader_area = 2 if behavior is LaneBehavior.KEEP else (1 if behavior is LaneBehavior.LEFT else 3)
-        target = scene.targets[leader_area]
+        target = scene.node(leader_area)
         if target.kind is not TrackKind.ZERO:
-            gap = target.current.lon - constants.VEHICLE_LENGTH - av.lon
-            closing = (av.v + accel * constants.DT) - target.current.v
+            gap = target.lon - constants.VEHICLE_LENGTH - av.lon
+            closing = (av.v + accel * constants.DT) - target.v
             if closing > 0.0 and gap / max(closing, 1e-6) < self.ttc_threshold:
                 accel = -min(constants.A_MAX, 2.0)
         return ParameterizedAction(behavior, float(accel))
@@ -134,9 +134,9 @@ class DRLSCController(Controller):
         leader_area, follower_area = (1, 4) if behavior is LaneBehavior.LEFT else (3, 6)
         av = env.av
         for area in (leader_area, follower_area):
-            target = scene.targets[area]
+            target = scene.node(area)
             if target.kind is TrackKind.ZERO:
                 continue
-            if abs(target.current.lon - av.lon) < self.min_side_gap:
+            if abs(target.lon - av.lon) < self.min_side_gap:
                 return False
         return True

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..perception.neighbors import AREA_COUNT
 from ..perception.phantom import PerceivedScene, TrackKind
 from ..sim import constants
 from ..sim.carfollowing import ACC, CarFollowingModel, IDM, free_road_gap
@@ -29,6 +30,10 @@ __all__ = ["Controller", "AgentController", "RuleBasedPolicy", "IDMLCPolicy",
 
 #: Acceleration levels used by the discrete baselines (DRL-SC, TP-BTS).
 DISCRETE_ACCELS = (-constants.A_MAX, 0.0, constants.A_MAX)
+
+#: Bumper gap (m) a perceived rear follower in the target lane must keep
+#: beyond its closing speed before the rule-based policies change lanes.
+FOLLOWER_MIN_GAP = 2.0
 
 
 class Controller:
@@ -109,11 +114,11 @@ class RuleBasedPolicy(Controller):
         vehicle at distance R; inherent phantoms (off-road) are reported
         by the caller via lane validity, not here.
         """
-        target = scene.targets[area]
+        target = scene.node(area)
         if target.kind is TrackKind.ZERO:
             return free_road_gap(), 0.0
-        gap = abs(target.current.lon - ego_lon) - constants.VEHICLE_LENGTH
-        return max(gap, 0.0), target.current.v
+        gap = abs(target.lon - ego_lon) - constants.VEHICLE_LENGTH
+        return max(gap, 0.0), target.v
 
     def _accel_for(self, scene: PerceivedScene, leader_area: int,
                    ego_v: float, ego_lon: float) -> float:
@@ -155,13 +160,12 @@ class RuleBasedPolicy(Controller):
         gap_leader, leader_v = self._gap_and_speed(scene, area_leader, ego_lon)
         if gap_leader < self.profile.min_gap + max(ego_v - leader_v, 0.0):
             return False
-        follower = scene.targets[area_follower]
+        follower = scene.node(area_follower)
         if follower.kind is TrackKind.ZERO:
             return True
-        gap_follower = ego_lon - constants.VEHICLE_LENGTH - follower.current.lon
-        needed = follower.profile.min_gap if hasattr(follower, "profile") else 2.0
-        closing = max(follower.current.v - ego_v, 0.0)
-        return gap_follower > needed + closing
+        gap_follower = ego_lon - constants.VEHICLE_LENGTH - follower.lon
+        closing = max(follower.v - ego_v, 0.0)
+        return gap_follower > FOLLOWER_MIN_GAP + closing
 
 
 class IDMLCPolicy(RuleBasedPolicy):
@@ -231,7 +235,8 @@ class TPBTSPolicy(Controller):
         # all-zero vector -- falls back to constant-velocity extrapolation.
         mask = frame.scene.target_mask()
         others = []
-        for area, target in sorted(frame.scene.targets.items()):
+        for area in range(1, AREA_COUNT + 1):
+            target = frame.scene.node(area)
             if target.kind is TrackKind.ZERO:
                 continue
             predicted = frame.prediction[area - 1]
@@ -241,8 +246,7 @@ class TPBTSPolicy(Controller):
                 o_lon = av.lon + d_lon
                 o_v = av.v + v_rel
             else:
-                current = target.current
-                o_lane, o_lon, o_v = current.lat, current.lon + current.v * dt, current.v
+                o_lane, o_lon, o_v = target.lane, target.lon + target.v * dt, target.v
             others.append((o_lane, o_lon, o_v))
 
         score = -0.3 if behavior is not LaneBehavior.KEEP else 0.0

@@ -37,13 +37,13 @@ def front_ttc(env) -> float | None:
     av = env.av
     if frame is None or av is None:
         return None
-    target = frame.scene.targets.get(2)
-    if target is None or target.kind is TrackKind.ZERO:
+    target = frame.scene.node(2)
+    if target.kind is TrackKind.ZERO:
         return None
-    gap = target.current.lon - av.lon - constants.VEHICLE_LENGTH
+    gap = target.lon - av.lon - constants.VEHICLE_LENGTH
     if gap <= _CONTACT_GAP:
         return 0.0
-    closing = av.v - target.current.v
+    closing = av.v - target.v
     if closing <= 0.0:
         return None
     return gap / closing

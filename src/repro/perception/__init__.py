@@ -3,7 +3,7 @@
 from .sensor import Sensor
 from .neighbors import AREA_COUNT, MIRROR_AREA
 from .tracking import ObservationBuffer
-from .phantom import TrackKind, TrackedVehicle, PerceivedScene, build_scene
+from .phantom import TrackKind, SceneNode, PerceivedScene, build_scene
 from .graph import (SpatialTemporalGraph, build_graph, to_networkx,
                     FEATURE_DIM, CONTRIBUTORS)
 from .predictor import StatePredictor, OUTPUT_DIM
@@ -19,7 +19,7 @@ __all__ = [
     "Sensor",
     "AREA_COUNT", "MIRROR_AREA",
     "ObservationBuffer",
-    "TrackKind", "TrackedVehicle", "PerceivedScene", "build_scene",
+    "TrackKind", "SceneNode", "PerceivedScene", "build_scene",
     "SpatialTemporalGraph", "build_graph", "to_networkx", "FEATURE_DIM", "CONTRIBUTORS",
     "StatePredictor", "OUTPUT_DIM", "LSTGAT", "LSTMMLP", "EDLSTM", "GASLED",
     "PredictionSample", "build_samples", "collate", "train_test_samples",

@@ -23,7 +23,7 @@ from ..sim.road import Road
 from ..sim.vehicle import VehicleState
 from .graph import SpatialTemporalGraph, build_graph
 from .neighbors import AREA_COUNT
-from .phantom import build_scene
+from .phantom import CONTRIBUTORS, build_scene
 from .sensor import Sensor
 from .tracking import ObservationBuffer
 from ..seeding import resolve_rng
@@ -93,37 +93,30 @@ def build_samples(trajectories: TrajectorySet, ego_ids: list[str] | None = None,
     samples: list[PredictionSample] = []
     for ego_id in ego_ids:
         buffer = ObservationBuffer(history_steps=history_steps)
-        ego_track: list[VehicleState] = []
         first, last = trajectories.presence_span(ego_id)
         for step in range(first, min(last, len(trajectories) - 1)):
             snapshot = trajectories.snapshots[step]
             if ego_id not in snapshot:
                 break
             ego_state = snapshot[ego_id]
-            ego_track.append(ego_state)
-            buffer.update(sensor.observe(ego_id, ego_state, snapshot, road))
-            if len(ego_track) < 1:
-                continue
-            ego_history = ego_track[-history_steps:]
-            if len(ego_history) < history_steps:
-                ego_history = [ego_history[0]] * (history_steps - len(ego_history)) + ego_history
-            scene = build_scene(ego_id, ego_history, buffer, road,
+            observed = sensor.observe(ego_id, ego_state, snapshot, road)
+            buffer.update({**observed, ego_id: ego_state})
+            scene = build_scene(ego_id, buffer, road,
                                 detection_range=sensor.detection_range)
             graph = build_graph(scene, road)
             future_snapshot = trajectories.snapshots[step + 1]
             truth = np.zeros((AREA_COUNT, 3))
             mask = graph.target_mask.copy()
-            for area in range(1, AREA_COUNT + 1):
-                target = scene.targets[area]
-                if target.vid is not None and target.vid in future_snapshot:
-                    truth[area - 1] = _relative_future(
-                        future_snapshot[target.vid], ego_state, road)
+            target_ids = tuple(scene.vids[::CONTRIBUTORS])
+            for index, vid in enumerate(target_ids):
+                if vid is not None and vid in future_snapshot:
+                    truth[index] = _relative_future(
+                        future_snapshot[vid], ego_state, road)
                 else:
-                    mask[area - 1] = 0.0
+                    mask[index] = 0.0
             graph = SpatialTemporalGraph(graph.target_features,
                                          graph.contributor_features, mask,
                                          graph.ego_features)
-            target_ids = tuple(scene.targets[area].vid for area in range(1, AREA_COUNT + 1))
             samples.append(PredictionSample(graph=graph, truth=truth,
                                             ego_id=ego_id, step=step,
                                             target_ids=target_ids))

@@ -1,15 +1,16 @@
 """Spatial-temporal graph construction (paper Eqs. 7-9).
 
-Converts a :class:`~repro.perception.phantom.PerceivedScene` into the
-dense arrays LST-GAT consumes, and (for inspection and testing) into an
-explicit ``networkx`` graph with the paper's 42-node layout: 6 targets
-plus 6 surroundings each, with directed edges from every surrounding to
-its target and self-loops on targets.
+Converts :class:`~repro.perception.phantom.PerceivedScene` node
+windows into the dense arrays LST-GAT consumes, and (for inspection and
+testing) into an explicit ``networkx`` graph with the paper's 42-node
+layout: 6 targets plus 6 surroundings each, with directed edges from
+every surrounding to its target and self-loops on targets.
 
 Feature vectors follow Eqs. 7-8: conventional vehicles carry states
 relative to the autonomous vehicle ``[d_lat, d_lon, v_rel, IF]``, the
 autonomous vehicle keeps its raw state as the reference, and
-zero-padded slots are all-zero.
+zero-padded slots are all-zero.  :func:`build_graphs` is the one
+featurizer; :func:`to_networkx` reads its node features from it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import networkx as nx
 import numpy as np
 
 from ..sim.road import Road
-from ..sim.vehicle import VehicleState
 from .neighbors import AREA_COUNT
-from .phantom import PerceivedScene, TrackKind, TrackedVehicle
+from .phantom import (CONTRIBUTORS, NODE_COUNT, PerceivedScene, TrackKind,
+                      node_row, phantom_mask)
 
 __all__ = ["SpatialTemporalGraph", "build_graph", "build_graphs",
            "concat_graphs", "split_rows", "FEATURE_DIM", "CONTRIBUTORS",
@@ -30,12 +31,6 @@ __all__ = ["SpatialTemporalGraph", "build_graph", "build_graphs",
 
 #: Node feature dimensionality (Eq. 7): d_lat, d_lon, v_rel, IF.
 FEATURE_DIM = 4
-
-#: Contributors per target in the attention: the target itself + 6 surroundings.
-CONTRIBUTORS = AREA_COUNT + 1
-
-#: Node rows one scene occupies in the stacked featurization.
-_NODES_PER_SCENE = AREA_COUNT * CONTRIBUTORS
 
 #: Feature scaling applied on top of Eqs. 7-8 so all network inputs are
 #: O(1).  Relative nodes: lateral offsets span a few lane widths
@@ -50,30 +45,6 @@ EGO_SCALE = np.array([6.0, 1000.0, 25.0, 1.0])
 
 #: Scaling of the predicted / ground-truth [d_lat, d_lon, v_rel].
 OUTPUT_SCALE = RELATIVE_SCALE[:3]
-
-#: Per-kind (is_zero, is_ego, indicator) rows gathered in one pass by
-#: :func:`build_graph`.  The indicator column is Eqs. 7-8's IF code:
-#: 1 for phantoms, 0 otherwise (matching ``TrackedVehicle.indicator``).
-_KIND_FLAGS = {kind: (float(kind is TrackKind.ZERO),
-                      float(kind is TrackKind.EGO),
-                      1.0 if kind.is_phantom else 0.0)
-               for kind in TrackKind}
-
-
-def _feature(node: TrackedVehicle, step: int, ego_state: VehicleState,
-             road: Road) -> np.ndarray:
-    """Eq. 7/8 state vector of one node at one history step (scaled)."""
-    if node.kind is TrackKind.ZERO:
-        return np.zeros(FEATURE_DIM)
-    state = node.history[step]
-    if node.kind is TrackKind.EGO:
-        return np.array([state.lat, state.lon, state.v, 0.0]) / EGO_SCALE
-    return np.array([
-        road.lateral_offset(state.lat, ego_state.lat),
-        state.lon - ego_state.lon,
-        state.v - ego_state.v,
-        node.indicator,
-    ]) / RELATIVE_SCALE
 
 
 @dataclass
@@ -122,68 +93,33 @@ def build_graphs(scenes: list[PerceivedScene], road: Road
                  ) -> list[SpatialTemporalGraph]:
     """Assemble G(t) arrays for many scenes in one stacked computation.
 
-    All S * 42 nodes are gathered into one state block and featurized by
-    a handful of vectorized operations shared across the whole fleet;
-    every arithmetic step matches the per-node :func:`_feature` exactly
-    (same subtraction order, same scale division), so each scene's
-    arrays are bit-identical to the nested scalar loop this replaces --
-    and independent of which other scenes share the batch.
+    All S * 42 node windows are stacked into one state block and
+    featurized by a handful of vectorized operations shared across the
+    whole fleet, so each scene's arrays are independent of which other
+    scenes share the batch.
 
     All scenes must have the same history length ``z``.
     """
     if not scenes:
         return []
-    steps = len(scenes[0].ego.history)
-    nodes: list[TrackedVehicle] = []
-    for scene in scenes:
-        if len(scene.ego.history) != steps:
-            raise ValueError("scenes disagree on history length")
-        for area in range(1, AREA_COUNT + 1):
-            nodes.append(scene.targets[area])
-            for sub_area in range(1, AREA_COUNT + 1):
-                nodes.append(scene.surroundings[(area, sub_area)])
-
-    # Nodes alias history lists heavily (the ego fills six slots, zero
-    # padding is shared, one vehicle can be a target and several
-    # surroundings -- possibly across scenes), so gather each distinct
-    # history once and scatter by row index -- the scattered copy
-    # carries the exact same floats.
-    compact_rows: dict[int, int] = {}
-    distinct: list[TrackedVehicle] = []
-    row_of = np.empty(len(nodes), dtype=np.intp)
-    for position, node in enumerate(nodes):
-        key = id(node.history)
-        row = compact_rows.get(key)
-        if row is None:
-            row = len(distinct)
-            compact_rows[key] = row
-            distinct.append(node)
-        row_of[position] = row
-    compact = np.fromiter(
-        (value for node in distinct for state in node.history
-         for value in (state.lat, state.lon, state.v)),
-        np.float64, count=len(distinct) * steps * 3,
-    ).reshape(len(distinct), steps, 3)
-    raw = compact[row_of]
+    steps = scenes[0].ego.shape[0]
+    if any(scene.ego.shape[0] != steps for scene in scenes):
+        raise ValueError("scenes disagree on history length")
+    raw = np.concatenate([scene.nodes for scene in scenes])
     # Per-scene ego references, replicated to the scene's 42 node rows.
-    ego_raw = np.fromiter(
-        (value for scene in scenes for state in scene.ego.history
-         for value in (state.lat, state.lon, state.v)),
-        np.float64, count=len(scenes) * steps * 3,
-    ).reshape(len(scenes), steps, 3)
-    node_ego = np.repeat(ego_raw, _NODES_PER_SCENE, axis=0)
-    # One pass derives all three per-node flag arrays from the kind.
-    flags = np.array([_KIND_FLAGS[node.kind] for node in nodes])
-    is_zero = flags[:, 0] != 0.0
-    is_ego = flags[:, 1] != 0.0
-    indicator = flags[:, 2]
+    ego_raw = np.stack([scene.ego for scene in scenes])
+    node_ego = np.repeat(ego_raw, NODE_COUNT, axis=0)
+    kinds = np.concatenate([scene.kinds for scene in scenes])
+    is_zero = kinds == TrackKind.ZERO
+    is_ego = kinds == TrackKind.EGO
 
-    # Eq. 7 relative features, node-major: (S * 42, z, 4).
-    features = np.empty((len(nodes), steps, FEATURE_DIM))
+    # Eq. 7 relative features, node-major: (S * 42, z, 4).  The IF
+    # column is Eqs. 7-8's binary code: 1 for phantoms, else 0.
+    features = np.empty((len(kinds), steps, FEATURE_DIM))
     features[:, :, 0] = (raw[:, :, 0] - node_ego[:, :, 0]) * road.lane_width
     features[:, :, 1] = raw[:, :, 1] - node_ego[:, :, 1]
     features[:, :, 2] = raw[:, :, 2] - node_ego[:, :, 2]
-    features[:, :, 3] = indicator[:, None]
+    features[:, :, 3] = phantom_mask(kinds)[:, None]
     features /= RELATIVE_SCALE
     if is_ego.any():
         ego_like = np.zeros((int(is_ego.sum()), steps, FEATURE_DIM))
@@ -254,24 +190,19 @@ def to_networkx(scene: PerceivedScene, road: Road, step: int = -1) -> nx.DiGraph
     """Export one spatial graph g(tau) as a directed networkx graph.
 
     Nodes are labeled ``"C1"``..``"C6"`` and ``"C1.1"``..``"C6.6"`` with
-    ``feature`` and ``kind`` attributes; edges run surrounding -> target
-    plus target self-loops, exactly the paper's construction steps 1-3.
+    ``feature`` (the node's :func:`build_graph` row) and ``kind``
+    attributes; edges run surrounding -> target plus target self-loops,
+    exactly the paper's construction steps 1-3.
     """
     graph = nx.DiGraph()
-    steps = len(scene.ego.history)
-    index = step % steps
-    ego_state = scene.ego.history[index]
+    features = build_graph(scene, road).contributor_features
+    features = features[step % features.shape[0]]
     for area in range(1, AREA_COUNT + 1):
-        target = scene.targets[area]
-        graph.add_node(f"C{area}",
-                       feature=_feature(target, index, ego_state, road),
-                       kind=target.kind.value)
-        for sub_area in range(1, AREA_COUNT + 1):
-            node = scene.surroundings[(area, sub_area)]
-            name = f"C{area}.{sub_area}"
-            graph.add_node(name,
-                           feature=_feature(node, index, ego_state, road),
-                           kind=node.kind.value)
-            graph.add_edge(name, f"C{area}")
+        for slot in range(CONTRIBUTORS):
+            name = f"C{area}.{slot}" if slot else f"C{area}"
+            kind = TrackKind(int(scene.kinds[node_row(area, slot)]))
+            graph.add_node(name, feature=features[area - 1, slot], kind=kind.label)
+            if slot:
+                graph.add_edge(name, f"C{area}")
         graph.add_edge(f"C{area}", f"C{area}")
     return graph

@@ -18,7 +18,7 @@ from ..sim.engine import SimulationEngine
 from ..sim.road import Road
 from ..sim.vehicle import VehicleState
 from .graph import SpatialTemporalGraph, build_graph
-from .phantom import PerceivedScene, build_scene
+from .phantom import PerceivedScene, TrackKind, build_scene, phantom_mask
 from .predictor import StatePredictor
 from .sensor import Sensor, WorldArrays
 from .tracking import ObservationBuffer
@@ -69,19 +69,10 @@ class EnhancedPerception:
         self.history_steps = history_steps
         self.use_phantoms = use_phantoms
         self.buffer = ObservationBuffer(history_steps=history_steps)
-        self._ego_track: list[VehicleState] = []
 
     def reset(self) -> None:
         """Clear all episode state (call at episode start)."""
         self.buffer.reset()
-        self._ego_track.clear()
-
-    def ego_history(self) -> list[VehicleState]:
-        """The ego's last z states, front-padded by repetition."""
-        track = self._ego_track[-self.history_steps:]
-        if len(track) < self.history_steps:
-            track = [track[0]] * (self.history_steps - len(track)) + track
-        return track
 
     def perceive(self, engine: SimulationEngine, ego_id: str) -> PerceptionFrame:
         """Run one full perception cycle for one ego against the simulator."""
@@ -107,28 +98,13 @@ class EnhancedPerception:
         passes one :class:`~repro.perception.sensor.WorldArrays` of the
         snapshot as ``world`` to every AV.
         """
-        self._ego_track.append(ego_state)
         observed = self.sensor.observe(ego_id, ego_state, world, road)
-        self.buffer.update(observed)
-        scene = build_scene(ego_id, self.ego_history(), self.buffer, road,
+        self.buffer.update({**observed, ego_id: ego_state})
+        scene = build_scene(ego_id, self.buffer, road,
                             detection_range=self.sensor.detection_range)
         if not self.use_phantoms:
-            scene = _zero_out_phantoms(scene)
+            # HEAD-w/o-PVC: unobservable slots become zero nodes, not phantoms.
+            phantoms = phantom_mask(scene.kinds)
+            scene.nodes[phantoms] = 0.0
+            scene.kinds[phantoms] = TrackKind.ZERO
         return scene
-
-
-def _zero_out_phantoms(scene: PerceivedScene) -> PerceivedScene:
-    """HEAD-w/o-PVC: unobservable slots become zero states, not phantoms."""
-    from .phantom import TrackKind, TrackedVehicle
-
-    def strip(node: TrackedVehicle) -> TrackedVehicle:
-        if node.kind.is_phantom:
-            zero = VehicleState(lat=0, lon=0.0, v=0.0)
-            return TrackedVehicle(TrackKind.ZERO, [zero] * len(node.history))
-        return node
-
-    return PerceivedScene(
-        ego=scene.ego,
-        targets={area: strip(node) for area, node in scene.targets.items()},
-        surroundings={key: strip(node) for key, node in scene.surroundings.items()},
-    )

@@ -7,19 +7,22 @@ import pytest
 from repro.decision import LaneBehavior, ParameterizedAction
 from repro.decision.policies import Controller
 from repro.decision.safety import SafetyFallbackPolicy, front_ttc
-from repro.perception.phantom import TrackKind
+from repro.perception.phantom import SceneNode, TrackKind
 from repro.sim import VehicleState, constants
 
 
-@dataclass
-class FakeTarget:
-    current: VehicleState
-    kind: TrackKind = TrackKind.OBSERVED
+def observed_target(state):
+    return SceneNode(TrackKind.OBSERVED, "front", state.lat, state.lon, state.v)
 
 
 @dataclass
 class FakeScene:
+    """``targets`` maps areas to nodes; an absent area is a zero node."""
+
     targets: dict = field(default_factory=dict)
+
+    def node(self, area, sub_area=0):
+        return self.targets.get(area, SceneNode(TrackKind.ZERO, None, 0, 0.0, 0.0))
 
 
 @dataclass
@@ -50,7 +53,7 @@ class ConstantPolicy(Controller):
 def env_with_front(gap, front_v, av_v=20.0):
     av = VehicleState(3, 100.0, av_v)
     front = VehicleState(3, 100.0 + constants.VEHICLE_LENGTH + gap, front_v)
-    scene = FakeScene(targets={2: FakeTarget(current=front)})
+    scene = FakeScene(targets={2: observed_target(front)})
     return FakeEnv(frame=FakeFrame(scene=scene), av=av)
 
 
@@ -73,7 +76,8 @@ def test_ttc_none_without_front_target():
 
 def test_ttc_ignores_zero_padding_targets():
     env = env_with_front(gap=5.0, front_v=0.0)
-    env.frame.scene.targets[2].kind = TrackKind.ZERO
+    targets = env.frame.scene.targets
+    targets[2] = targets[2]._replace(kind=TrackKind.ZERO)
     assert front_ttc(env) is None
 
 

@@ -80,7 +80,7 @@ class TestEnhancedPerception:
         frame = perception.perceive(engine, "av")
         assert frame.prediction.shape == (6, 3)
         assert np.allclose(frame.prediction, 0.0)  # predictor disabled
-        assert len(frame.scene.targets) == 6
+        assert frame.scene.nodes.shape == (42, 5, 3)
 
     def test_perceive_with_predictor(self):
         engine = self.make_engine()
@@ -95,7 +95,7 @@ class TestEnhancedPerception:
         engine = self.make_engine()
         perception = EnhancedPerception(predictor=None, use_phantoms=False)
         frame = perception.perceive(engine, "av")
-        kinds = {node.kind for node in frame.scene.targets.values()}
+        kinds = {TrackKind(int(code)) for code in frame.scene.kinds}
         assert TrackKind.PHANTOM_RANGE not in kinds
         assert TrackKind.PHANTOM_OCCLUSION not in kinds
         assert TrackKind.PHANTOM_INHERENT not in kinds
@@ -105,16 +105,16 @@ class TestEnhancedPerception:
         perception = EnhancedPerception(predictor=None)
         for _ in range(4):
             engine.set_maneuver("av", 0, 0.5)
-            perception.perceive(engine, "av")
+            frame = perception.perceive(engine, "av")
             engine.step()
-        history = perception.ego_history()
-        assert len(history) == 5
-        assert history[-1].lon > history[0].lon or history[0] == history[1]
+        history = frame.scene.ego
+        assert history.shape == (5, 3)
+        assert history[-1, 1] > history[0, 1] or (history[0] == history[1]).all()
 
     def test_reset_clears_state(self):
         engine = self.make_engine()
         perception = EnhancedPerception(predictor=None)
         perception.perceive(engine, "av")
+        assert "av" in perception.buffer  # the ego's own track
         perception.reset()
         assert perception.buffer.tracked_ids() == []
-        assert perception._ego_track == []

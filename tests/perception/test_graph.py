@@ -23,9 +23,8 @@ def state(lane, lon, v=10.0):
 def make_scene(road, observed):
     buffer = ObservationBuffer(history_steps=Z)
     for _ in range(Z):
-        buffer.update(observed)
-    return build_scene("ego", [state(3, 5000.0, 10.0)] * Z, buffer, road,
-                       detection_range=100.0)
+        buffer.update({**observed, "ego": state(3, 5000.0, 10.0)})
+    return build_scene("ego", buffer, road, detection_range=100.0)
 
 
 def test_graph_shapes(road):
@@ -97,6 +96,13 @@ def test_networkx_export_42_nodes_48_edges(road):
     assert nxg.has_edge("C2", "C2")
     assert nxg.nodes["C2"]["kind"] == "observed"
     assert set(nxg.successors("C1.1")) == {"C1"}
+    # Node features are build_graph's rows, bit for bit.
+    graph = build_graph(scene, road)
+    for area in range(1, 7):
+        for slot in range(CONTRIBUTORS):
+            name = f"C{area}.{slot}" if slot else f"C{area}"
+            assert (nxg.nodes[name]["feature"].tobytes()
+                    == graph.contributor_features[-1, area - 1, slot].tobytes())
 
 
 def test_output_scale_consistent_with_relative_scale():
@@ -130,9 +136,8 @@ def test_build_graphs_empty_and_mismatched(road):
 
     assert build_graphs([], road) == []
     short_buffer = ObservationBuffer(history_steps=Z - 1)
-    short_buffer.update({})
-    short = build_scene("ego", [state(3, 5000.0, 10.0)] * (Z - 1),
-                        short_buffer, road, detection_range=100.0)
+    short_buffer.update({"ego": state(3, 5000.0, 10.0)})
+    short = build_scene("ego", short_buffer, road, detection_range=100.0)
     full = make_scene(road, {"front": state(3, 5020.0)})
     with pytest.raises(ValueError, match="history length"):
         build_graphs([full, short], road)

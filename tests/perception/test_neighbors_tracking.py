@@ -63,31 +63,34 @@ class TestObservationBuffer:
     def test_history_padding(self):
         buffer = ObservationBuffer(history_steps=4)
         buffer.update({"a": state(1, 10.0)})
-        history = buffer.history("a")
-        assert len(history) == 4
-        assert history[0] == history[1] == history[2] == history[3]
+        history = buffer.windows(["a"])[0]
+        assert history.shape == (4, 3)
+        assert (history == [1.0, 10.0, 10.0]).all()
 
     def test_history_rolls(self):
         buffer = ObservationBuffer(history_steps=3)
         for step in range(5):
             buffer.update({"a": state(1, float(step))})
-        history = buffer.history("a")
-        assert [s.lon for s in history] == [2.0, 3.0, 4.0]
+        history = buffer.windows(["a"])[0]
+        assert history[:, 1].tolist() == [2.0, 3.0, 4.0]
 
     def test_stale_tracks_pruned(self):
         buffer = ObservationBuffer(history_steps=3, max_gap=1)
-        buffer.update({"a": state(1, 0.0)})
-        buffer.update({})
+        buffer.update({"a": state(1, 0.0), "b": state(2, 0.0)})
+        buffer.update({"b": state(2, 1.0)})
         assert "a" in buffer
-        buffer.update({})
+        buffer.update({"b": state(2, 2.0)})
         assert "a" not in buffer
+        # The surviving track keeps its own window.
+        assert buffer.tracked_ids() == ["b"]
+        assert buffer.windows(["b"])[0][:, 1].tolist() == [0.0, 1.0, 2.0]
 
     def test_track_survives_short_gap(self):
         buffer = ObservationBuffer(history_steps=3, max_gap=2)
         buffer.update({"a": state(1, 0.0)})
         buffer.update({})
         buffer.update({"a": state(1, 5.0)})
-        assert [s.lon for s in buffer.history("a")] == [0.0, 0.0, 5.0]
+        assert buffer.windows(["a"])[0][:, 1].tolist() == [0.0, 0.0, 5.0]
 
     def test_reset(self):
         buffer = ObservationBuffer(history_steps=3)
@@ -95,7 +98,7 @@ class TestObservationBuffer:
         buffer.reset()
         assert buffer.tracked_ids() == []
         with pytest.raises(KeyError):
-            buffer.history("a")
+            buffer.windows(["a"])
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

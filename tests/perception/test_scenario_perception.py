@@ -22,7 +22,7 @@ def perceive(engine, steps=5):
 def test_platoon_front_target_is_leader():
     engine, av = platoon()
     frame = perceive(engine)
-    front = frame.scene.targets[2]
+    front = frame.scene.node(2)
     assert front.kind is TrackKind.OBSERVED
     assert front.vid == "p0"
 
@@ -30,11 +30,11 @@ def test_platoon_front_target_is_leader():
 def test_blocked_lane_scene_shows_slow_platoon():
     engine, av = blocked_lane(platoon_speed=6.0)
     frame = perceive(engine)
-    front = frame.scene.targets[2]
+    front = frame.scene.node(2)
     assert front.kind is TrackKind.OBSERVED
-    assert front.current.v < 10.0
+    assert front.v < 10.0
     # Left lane (area 1) has no observed vehicle: phantom or boundary.
-    assert frame.scene.targets[1].kind.is_phantom
+    assert frame.scene.node(1).kind.is_phantom
 
 
 def test_cut_in_merger_becomes_same_lane_target():
@@ -45,8 +45,8 @@ def test_cut_in_merger_becomes_same_lane_target():
         if "av" in engine.vehicles:
             engine.set_maneuver("av", 0, 0.0)
         frame = perception.perceive(engine, "av")
-        same_lane_ids.append(frame.scene.targets[2].vid)  # front
-        same_lane_ids.append(frame.scene.targets[5].vid)  # rear
+        same_lane_ids.append(frame.scene.node(2).vid)  # front
+        same_lane_ids.append(frame.scene.node(5).vid)  # rear
         engine.step()
     # After merging, the merger occupies the AV's lane as a target.
     assert "merger" in same_lane_ids
@@ -63,7 +63,7 @@ def test_wave_scene_augmented_state_reflects_slowdown():
         engine.set_maneuver("av", 0, 0.0)
         frame = perception.perceive(engine, "av")
         state = build_augmented_state(frame)
-        if frame.scene.targets[2].kind is TrackKind.OBSERVED:
+        if frame.scene.node(2).kind is TrackKind.OBSERVED:
             relative_speeds.append(state.current[2, 2])  # front target v_rel
         engine.step()
     assert relative_speeds
@@ -75,8 +75,8 @@ def test_occlusion_happens_inside_platoon():
     """In a tight single-lane platoon the leader-of-leader is hidden."""
     engine, av = platoon(size=5, headway=20.0)
     frame = perceive(engine, steps=2)
-    node = frame.scene.surroundings[(2, 2)]
+    node = frame.scene.node(2, 2)
     assert node.kind in (TrackKind.PHANTOM_OCCLUSION, TrackKind.OBSERVED)
     if node.kind is TrackKind.PHANTOM_OCCLUSION:
         # Eq. 6 placement: beyond the front target.
-        assert node.current.lon > frame.scene.targets[2].current.lon
+        assert node.lon > frame.scene.node(2).lon
