@@ -34,8 +34,8 @@ import pytest
 from _bench_io import write_bench
 from repro.core.config import HEADConfig
 from repro.decision.trainer import train_agent
-from repro.nn.serialization import flat_parameter_size, write_flat_parameters
 from repro.train import build_agent, build_env, train_agent_parallel
+from repro.train.sync import policy_modules
 
 pytestmark = pytest.mark.perf
 
@@ -71,10 +71,8 @@ def make_agent(config: HEADConfig):
 
 
 def weights_digest(agent) -> str:
-    modules = [getattr(agent, name) for name in sorted(vars(agent))
-               if hasattr(getattr(agent, name), "named_parameters")]
-    flat = np.empty(flat_parameter_size(modules))
-    write_flat_parameters(modules, flat)
+    flat = np.concatenate([module.store()[0]
+                           for module in policy_modules(agent)])
     return hashlib.sha256(flat.tobytes()).hexdigest()
 
 

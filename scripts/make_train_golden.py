@@ -27,8 +27,8 @@ from pathlib import Path
 
 from repro.core.config import HEADConfig
 from repro.decision.trainer import train_agent
-from repro.nn.serialization import flat_parameter_size, write_flat_parameters
 from repro.train.factories import build_agent, build_env
+from repro.train.sync import policy_modules
 
 import numpy as np
 
@@ -54,10 +54,8 @@ def golden_config() -> HEADConfig:
 
 
 def weights_digest(agent) -> str:
-    modules = [getattr(agent, name) for name in sorted(vars(agent))
-               if hasattr(getattr(agent, name), "named_parameters")]
-    flat = np.empty(flat_parameter_size(modules))
-    write_flat_parameters(modules, flat)
+    flat = np.concatenate([module.store()[0]
+                           for module in policy_modules(agent)])
     return hashlib.sha256(flat.tobytes()).hexdigest()
 
 

@@ -225,14 +225,14 @@ class PDQNAgent(PamdpAgent):
         self.opt_x.zero_grad()
         q_loss = self._q_loss(batch)
         q_loss.backward()
-        nn.clip_grad_norm(self.q_net.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_q.parameters, 10.0)
         self.opt_q.step()
 
         self.opt_q.zero_grad()
         self.opt_x.zero_grad()
         x_loss = self._x_loss(batch)
         x_loss.backward()
-        nn.clip_grad_norm(self.x_net.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_x.parameters, 10.0)
         self.opt_x.step()
 
         self.q_target.soft_update_from(self.q_net, self.tau)
@@ -263,7 +263,7 @@ class PQPAgent(PDQNAgent):
             self.opt_x.zero_grad()
             q_loss = self._q_loss(batch)
             q_loss.backward()
-            nn.clip_grad_norm(self.q_net.parameters(), 10.0)
+            nn.clip_grad_norm(self.opt_q.parameters, 10.0)
             self.opt_q.step()
             self.q_target.soft_update_from(self.q_net, self.tau)
             losses["q_loss"] = q_loss.item()
@@ -272,7 +272,7 @@ class PQPAgent(PDQNAgent):
             self.opt_x.zero_grad()
             x_loss = self._x_loss(batch)
             x_loss.backward()
-            nn.clip_grad_norm(self.x_net.parameters(), 10.0)
+            nn.clip_grad_norm(self.opt_x.parameters, 10.0)
             self.opt_x.step()
             self.x_target.soft_update_from(self.x_net, self.tau)
             losses["x_loss"] = x_loss.item()
@@ -368,7 +368,7 @@ class PDDPGAgent(PamdpAgent):
         diff = q_values.reshape(len(batch)) - nn.Tensor(targets)
         critic_loss = (diff * diff).mean() * 0.5
         critic_loss.backward()
-        nn.clip_grad_norm(self.critic.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_critic.parameters, 10.0)
         self.opt_critic.step()
 
         self.opt_critic.zero_grad()
@@ -376,7 +376,7 @@ class PDDPGAgent(PamdpAgent):
         actor_action = self.actor(current, future)
         actor_loss = -self.critic(current, future, actor_action).mean()
         actor_loss.backward()
-        nn.clip_grad_norm(self.actor.parameters(), 10.0)
+        nn.clip_grad_norm(self.opt_actor.parameters, 10.0)
         self.opt_actor.step()
 
         self.critic_target.soft_update_from(self.critic, self.tau)

@@ -84,7 +84,7 @@ class DRLSCAgent(PamdpAgent):
         diff = q_taken - nn.Tensor(targets)
         loss = (diff * diff).mean() * 0.5
         loss.backward()
-        nn.clip_grad_norm(self.q_net.parameters(), 10.0)
+        nn.clip_grad_norm(self.optimizer.parameters, 10.0)
         self.optimizer.step()
         self.q_target.soft_update_from(self.q_net, self.tau)
         return {"q_loss": loss.item(), "x_loss": 0.0}

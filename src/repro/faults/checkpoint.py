@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.module import Module
-from ..nn.optim import Adam, Optimizer, SGD
+from ..nn.optim import Adam, SGD
 from ..nn.serialization import atomic_savez
 
 
@@ -47,7 +47,7 @@ __all__ = ["CheckpointError", "ScheduleMismatchError", "save_checkpoint",
            "load_checkpoint", "check_schedule", "latest_checkpoint",
            "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _META_KEY = "__meta__"
 
@@ -104,16 +104,12 @@ def _snapshot(agent) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
         if isinstance(value, Module):
             for pname, parameter in value.named_parameters():
                 arrays[f"module.{name}.{pname}"] = parameter.data.copy()
-        elif isinstance(value, Optimizer):
-            if isinstance(value, Adam):
-                arrays[f"opt.{name}.step"] = np.array(value._step_count)
-                for index, moment in enumerate(value._m):
-                    arrays[f"opt.{name}.m.{index}"] = moment.copy()
-                for index, moment in enumerate(value._v):
-                    arrays[f"opt.{name}.v.{index}"] = moment.copy()
-            elif isinstance(value, SGD):
-                for index, velocity in enumerate(value._velocity):
-                    arrays[f"opt.{name}.vel.{index}"] = velocity.copy()
+        elif isinstance(value, Adam):
+            arrays[f"opt.{name}.step"] = np.array(value._step_count)
+            arrays[f"opt.{name}.m"] = value._m.copy()
+            arrays[f"opt.{name}.v"] = value._v.copy()
+        elif isinstance(value, SGD):
+            arrays[f"opt.{name}.vel"] = value._velocity.copy()
         elif isinstance(value, ReplayBuffer):
             for attr in _BUFFER_ARRAYS:
                 arrays[f"buffer.{name}.{attr}"] = getattr(value, attr).copy()
@@ -228,12 +224,10 @@ def _apply(agent, stored: dict[str, np.ndarray], rng_states: dict) -> None:
             value.load_state_dict(state)
         elif isinstance(value, Adam):
             value._step_count = int(stored[f"opt.{name}.step"])
-            for index in range(len(value._m)):
-                value._m[index] = stored[f"opt.{name}.m.{index}"].copy()
-                value._v[index] = stored[f"opt.{name}.v.{index}"].copy()
+            value._m[...] = stored[f"opt.{name}.m"]
+            value._v[...] = stored[f"opt.{name}.v"]
         elif isinstance(value, SGD):
-            for index in range(len(value._velocity)):
-                value._velocity[index] = stored[f"opt.{name}.vel.{index}"].copy()
+            value._velocity[...] = stored[f"opt.{name}.vel"]
         elif isinstance(value, ReplayBuffer):
             for attr in _BUFFER_ARRAYS:
                 getattr(value, attr)[...] = stored[f"buffer.{name}.{attr}"]

@@ -1,7 +1,8 @@
 """Gradient-based optimizers.
 
 Adam is the paper's optimizer for both LST-GAT (lr 1e-3, batch 64) and
-BP-DQN; SGD is provided for tests and ablations.
+BP-DQN; SGD is provided for tests and ablations.  Steps work on the
+parameters' flat store (see :func:`~repro.nn.module.flatten`).
 """
 
 from __future__ import annotations
@@ -10,53 +11,59 @@ from typing import Sequence
 
 import numpy as np
 
-from .module import Parameter
+from .module import Parameter, flatten
 
 __all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
-    """Base optimizer over a list of parameters."""
+    """Base optimizer over one in-order run of a parameter store."""
 
     def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
+        self._data, self._grad = flatten(self.parameters)
 
     def zero_grad(self) -> None:
         """Clear gradient buffers of all managed parameters."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         raise NotImplementedError
 
+    def __setstate__(self, state: dict) -> None:
+        # the vectors are views: a copy finds its own in its parameters
+        self.__dict__.update(state)
+        self._data, self._grad = flatten(self.parameters)
+
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
+    """SGD with optional momentum; a parameter whose gradient stays zero does not move."""
 
     def __init__(self, parameters: Sequence[Parameter], lr: float = 0.01,
                  momentum: float = 0.0) -> None:
         super().__init__(parameters, lr)
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = np.zeros_like(self._data)
 
     def step(self) -> None:
-        """Apply one update; parameters without gradients are skipped."""
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += parameter.grad
-                parameter.data -= self.lr * velocity
-            else:
-                parameter.data -= self.lr * parameter.grad
+        """Apply one update to every managed parameter."""
+        if self.momentum:
+            self._velocity *= self.momentum
+            self._velocity += self._grad
+            self._data -= self.lr * self._velocity
+        else:
+            self._data -= self.lr * self._grad
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba 2014) with bias correction."""
+    """Adam (Kingma & Ba 2014) with bias correction.
+
+    A parameter whose gradient has been zero at every step does not
+    move: its moments stay ``m = v = 0``, an update of exactly 0.
+    """
 
     def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
@@ -64,32 +71,30 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
 
     def step(self) -> None:
-        """Apply one Adam update; parameters without gradients are skipped."""
+        """Apply one Adam update to every managed parameter."""
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * self._grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * self._grad * self._grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        self._data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm.  Keeps RL training stable when TD
-    errors spike early in training.
+    errors spike early in training.  The norm adds per-parameter sums
+    in order: one flat sum would round differently.
     """
     grads = [p.grad for p in parameters if p.grad is not None]
     if not grads:

@@ -15,55 +15,7 @@ import numpy as np
 
 from .module import Module
 
-__all__ = ["save_module", "load_module", "atomic_savez",
-           "flat_parameter_size", "write_flat_parameters",
-           "read_flat_parameters"]
-
-
-def flat_parameter_size(modules: "list[Module] | tuple[Module, ...]") -> int:
-    """Total scalar count of all parameters across ``modules``."""
-    return sum(module.num_parameters() for module in modules)
-
-
-def write_flat_parameters(modules, out: np.ndarray) -> None:
-    """Serialize all parameters of ``modules`` into ``out`` in place.
-
-    The layout is positional -- module order as given, parameters in
-    ``named_parameters`` (depth-first) order within each module -- so a
-    reader holding structurally identical modules in the same order can
-    reconstruct without any name metadata.  Writing in place lets the
-    caller target shared memory (the zero-copy policy broadcast of
-    ``repro.train``) without allocating per publish.
-    """
-    offset = 0
-    for module in modules:
-        for _, parameter in module.named_parameters():
-            size = parameter.data.size
-            out[offset:offset + size] = parameter.data.reshape(-1)
-            offset += size
-    if offset != out.size:
-        raise ValueError(
-            f"flat vector has {out.size} slots, modules hold {offset} "
-            f"parameters")
-
-
-def read_flat_parameters(modules, flat: np.ndarray) -> None:
-    """Load a :func:`write_flat_parameters` vector back into ``modules``.
-
-    Parameter arrays are overwritten in place (``data[...] = ...``), so
-    optimizer references and views stay valid.
-    """
-    offset = 0
-    for module in modules:
-        for _, parameter in module.named_parameters():
-            size = parameter.data.size
-            chunk = flat[offset:offset + size]
-            parameter.data[...] = chunk.reshape(parameter.data.shape)
-            offset += size
-    if offset != flat.size:
-        raise ValueError(
-            f"flat vector has {flat.size} slots, modules hold {offset} "
-            f"parameters")
+__all__ = ["save_module", "load_module", "atomic_savez"]
 
 
 def atomic_savez(path: str | os.PathLike, arrays: dict[str, np.ndarray]) -> Path:

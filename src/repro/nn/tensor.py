@@ -139,9 +139,9 @@ class _GradientBufferPool:
     """Shape-keyed free list of float64 gradient buffers.
 
     ``backward`` releases every intermediate gradient here once its
-    parents have consumed it, and :meth:`Tensor.zero_grad` releases
-    leaf buffers, so steady-state training reuses the same allocations
-    step after step instead of churning the allocator.  Buffers are
+    parents have consumed it (parameter gradients live in the parameter
+    store), so steady-state training reuses the same allocations step
+    after step instead of churning the allocator.  Buffers are
     only pooled when whole (never views) and the per-shape depth is
     capped so pathological shape diversity cannot hoard memory.
     """
@@ -169,9 +169,6 @@ class _GradientBufferPool:
         bucket = self._free.setdefault(buffer.shape, [])
         if len(bucket) < self.max_per_shape:
             bucket.append(buffer)
-
-    def clear(self) -> None:
-        self._free.clear()
 
 
 _POOL = _GradientBufferPool()
@@ -253,11 +250,8 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
-        """Clear the gradient, recycling its buffer into the pool."""
-        buffer = self.grad
-        if buffer is not None:
-            self.grad = None
-            _POOL.release(buffer)
+        """Clear the gradient."""
+        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -67,7 +67,7 @@ def train_predictor(model: StatePredictor, samples: list[PredictionSample],
             optimizer.zero_grad()
             loss = model.loss(graph, truth)
             loss.backward()
-            nn.clip_grad_norm(model.parameters(), 5.0)
+            nn.clip_grad_norm(optimizer.parameters, 5.0)
             optimizer.step()
             epoch_loss += loss.item()
             batches += 1

@@ -321,7 +321,6 @@ def train_agent_parallel(agent: PamdpAgent, env_factory, episodes: int, *,
         root_seed=root_seed, seed_offset=seed_offset,
         max_episode_steps=max_episode_steps, epsilon=agent.epsilon,
         noise_scale=agent.noise_scale,
-        flat_size=sum(module.num_parameters() for module in modules),
         parent_pid=multiprocessing.current_process().pid or 0)
 
     log = RLTrainingLog()

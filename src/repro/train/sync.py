@@ -3,10 +3,10 @@
 The learner publishes its policy networks as one flat ``float64``
 vector in a shared-memory block (``multiprocessing.RawArray``); workers
 map the same pages and copy the vector into their local module
-parameters when the version counter moves.  Publishing is a single
-in-place :func:`~repro.nn.serialization.write_flat_parameters` sweep --
-no pickling, no queue traffic, no per-sync allocation -- which is what
-keeps the sync interval a staleness knob rather than a throughput tax.
+parameters when the version counter moves.  Publishing is one in-place
+copy of each module's store vector -- no pickling, no queue traffic, no
+per-sync allocation -- which is what keeps the sync interval a
+staleness knob rather than a throughput tax.
 
 A plain ``Lock`` guards the (vector, version) pair so a reader can
 never observe a torn write.  Contention is negligible: the learner
@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.module import Module
-from ..nn.serialization import (flat_parameter_size, read_flat_parameters,
-                                write_flat_parameters)
 
 __all__ = ["SharedPolicy", "policy_modules"]
 
@@ -57,7 +55,8 @@ class SharedPolicy:
     def publish(self, modules: list[Module]) -> int:
         """Write the modules' parameters and bump the version; returns it."""
         with self._lock:
-            write_flat_parameters(modules, self._vector())
+            np.concatenate([module.store()[0] for module in modules],
+                           out=self._vector())
             self._version.value += 1
             return int(self._version.value)
 
@@ -67,7 +66,11 @@ class SharedPolicy:
         with self._lock:
             current = int(self._version.value)
             if current != held_version:
-                read_flat_parameters(modules, self._vector())
+                offset = 0
+                for module in modules:
+                    own = module.store()[0]
+                    np.copyto(own, self._vector()[offset:offset + own.size])
+                    offset += own.size
             return current
 
     @property
@@ -77,4 +80,4 @@ class SharedPolicy:
 
     @staticmethod
     def for_agent(ctx, agent) -> "SharedPolicy":
-        return SharedPolicy(ctx, flat_parameter_size(policy_modules(agent)))
+        return SharedPolicy(ctx, sum(m.num_parameters() for m in policy_modules(agent)))

@@ -34,7 +34,6 @@ import numpy as np
 from ..decision.agents import EpsilonSchedule, PamdpAgent
 from ..decision.replay import Transition, TransitionBatch
 from ..decision.trainer import EpisodeRunner
-from ..nn.serialization import flat_parameter_size
 from ..seeding import spawn_stream
 from .sync import SharedPolicy, policy_modules
 
@@ -51,7 +50,6 @@ class WorkerOptions:
     max_episode_steps: int | None
     epsilon: EpsilonSchedule
     noise_scale: float
-    flat_size: int
     parent_pid: int
     poll_seconds: float = 2.0
 
@@ -132,11 +130,11 @@ def worker_main(worker_id: int, task_queue, result_queue,
         actor.epsilon = options.epsilon
         actor.noise_scale = options.noise_scale
         modules = policy_modules(actor)
-        local_size = flat_parameter_size(modules)
-        if local_size != options.flat_size:
+        local_size = sum(module.num_parameters() for module in modules)
+        if local_size != policy.size:
             raise RuntimeError(
                 f"actor architecture mismatch: worker holds {local_size} "
-                f"parameters, learner broadcasts {options.flat_size}")
+                f"parameters, learner broadcasts {policy.size}")
         runner = EpisodeRunner(env, max_episode_steps=options.max_episode_steps)
     except BaseException:
         result_queue.put(EpisodeResult(

@@ -1,5 +1,6 @@
 """Tests for atomic training checkpoints, resume, and NaN rollback."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_load_rejects_non_checkpoint_files(tmp_path):
     np.savez(path, stuff=np.zeros(3))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, make_head().agent)
+
+
+def test_load_rejects_a_version_1_archive(tmp_path):
+    head = make_head()
+    path = save_checkpoint(tmp_path / "agent.ckpt.npz", head.agent)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+    meta["version"] = 1
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path, head.agent)
 
 
 def test_load_rejects_a_different_agent_class(tmp_path):

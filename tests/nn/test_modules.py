@@ -1,13 +1,21 @@
 """Tests for Module bookkeeping, layers, recurrent nets, and checkpointing."""
 
+import copy
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.decision import PDQNAgent
+from repro.faults import load_checkpoint, save_checkpoint
 from repro.nn import (
     LSTM, MLP, Adam, Linear, Module, Parameter, ReLU, Sequential, SGD, Tanh,
     Tensor, clip_grad_norm, huber_loss, load_module, masked_mse_loss, mse_loss,
     save_module,
 )
+from repro.nn.module import flatten
+from repro.train.sync import SharedPolicy, policy_modules
 
 
 @pytest.fixture
@@ -69,6 +77,90 @@ def test_copy_from_makes_exact_clone(rng):
     target.copy_from(source)
     x = Tensor(rng.standard_normal((3, 2)))
     assert np.allclose(source(x).data, target(x).data)
+
+
+def assert_attached(optimizer):
+    """Every managed parameter is still a view into the optimizer's vectors."""
+    for parameter in optimizer.parameters:
+        assert np.shares_memory(parameter.data, optimizer._data)
+        assert np.shares_memory(parameter.grad, optimizer._grad)
+
+
+def small_agent(seed):
+    return PDQNAgent(hidden_dim=8, buffer_capacity=32,
+                     rng=np.random.default_rng(seed))
+
+
+def test_store_survives_every_bulk_write(rng, tmp_path):
+    net = MLP([3, 8, 2], rng=rng)
+    other = MLP([3, 8, 2], rng=rng)
+    optimizer = Adam(net.parameters())
+    assert_attached(optimizer)
+    net.copy_from(other)
+    assert_attached(optimizer)
+    net.soft_update_from(other, tau=0.3)
+    assert_attached(optimizer)
+    net.load_state_dict(other.state_dict())
+    assert_attached(optimizer)
+    load_module(net, save_module(other, tmp_path / "other"))
+    assert_attached(optimizer)
+    assert np.array_equal(net.store()[0], other.store()[0])
+
+    source, agent = small_agent(1), small_agent(2)
+    load_checkpoint(save_checkpoint(tmp_path / "agent.ckpt.npz", source), agent)
+    assert_attached(agent.opt_q)
+    assert_attached(agent.opt_x)
+    assert np.array_equal(agent.q_net.store()[0], source.q_net.store()[0])
+
+    source, agent = small_agent(3), small_agent(4)
+    policy = SharedPolicy.for_agent(multiprocessing.get_context("spawn"), agent)
+    policy.publish(policy_modules(source))
+    policy.refresh(policy_modules(agent), held_version=0)
+    assert_attached(agent.opt_q)
+    assert_attached(agent.opt_x)
+    assert np.array_equal(agent.x_net.store()[0], source.x_net.store()[0])
+
+
+def test_flatten_rejects_parameters_from_two_stores(rng):
+    first, second = Linear(2, 2, rng=rng), Linear(2, 2, rng=rng)
+    first.store()
+    second.store()
+    with pytest.raises(ValueError):
+        flatten(first.parameters() + second.parameters())
+    with pytest.raises(ValueError):
+        flatten(first.parameters()[::-1])
+
+
+def test_stored_parameter_refuses_rebinding(rng):
+    layer = Linear(2, 2, rng=rng)
+    Adam(layer.parameters())
+    with pytest.raises(TypeError, match="in place"):
+        layer.weight.data = np.zeros((2, 2))
+    with pytest.raises(TypeError, match="in place"):
+        layer.bias.grad = np.zeros(2)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                       lambda agent: pickle.loads(pickle.dumps(agent))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_agent_keeps_its_own_store(duplicate):
+    agent = small_agent(5)
+    before = agent.q_net.store()[0].copy()
+    clone = duplicate(agent)
+    assert_attached(clone.opt_q)
+    for parameter in clone.q_net.parameters():
+        parameter.grad[...] = 1.0
+    clone.opt_q.step()
+    assert not np.array_equal(clone.q_net.store()[0], before)
+    assert np.array_equal(agent.q_net.store()[0], before)
+
+    # a sub-module whose vectors are a slice of a larger store
+    net = MLP([2, 3, 1], rng=np.random.default_rng(6))
+    optimizer = Adam(net.parameters())
+    net.net.children_list[2].store()
+    net_clone, optimizer_clone = duplicate((net, optimizer))
+    assert np.shares_memory(net_clone.net.children_list[2].store()[0],
+                            optimizer_clone._data)
 
 
 def test_train_eval_flags_propagate(rng):

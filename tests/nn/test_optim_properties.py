@@ -31,7 +31,7 @@ def test_adam_first_step_magnitude_is_lr(seed):
     scale = float(rng.uniform(0.01, 1000.0))
     weight = Parameter(np.array([1.0]))
     optimizer = Adam([weight], lr=0.1)
-    weight.grad = np.array([scale])
+    weight.grad[...] = scale
     optimizer.step()
     assert abs(weight.data[0] - 1.0) == np.float64(0.1) or \
         abs(abs(weight.data[0] - 1.0) - 0.1) < 1e-6
@@ -56,7 +56,7 @@ def test_optimizers_skip_parameters_without_grads():
     used = Parameter(np.array([1.0]))
     unused = Parameter(np.array([5.0]))
     optimizer = Adam([used, unused], lr=0.1)
-    used.grad = np.array([1.0])
+    used.grad[...] = 1.0
     optimizer.step()
     assert unused.data[0] == 5.0
     assert used.data[0] != 1.0

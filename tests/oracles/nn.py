@@ -13,6 +13,11 @@ reference, like the scalar engine oracle in ``tests/oracles/engine.py``:
   against the live engine to report the refactor's speedup in
   ``BENCH_nn.json``.
 
+It also keeps the per-parameter optimizer loops that the flat parameter
+store replaced (:class:`PerParameterSGD`, :class:`PerParameterAdam`,
+:func:`per_parameter_soft_update`): ``tests/nn/test_store_equivalence.py``
+asserts the one-vector updates reproduce them bit for bit.
+
 Nothing here is used on any production path; ``src/`` never imports
 ``tests``.  The :class:`LegacyTensor` body is the verbatim
 pre-refactor ``Tensor`` (trimmed of ops the references do not need).
@@ -29,6 +34,7 @@ __all__ = [
     "unfused_lstm_cell", "unfused_lstm_sequence",
     "per_head_graph_attention", "legacy_graph_attention",
     "legacy_masked_mse", "legacy_lstgat_step",
+    "PerParameterSGD", "PerParameterAdam", "per_parameter_soft_update",
 ]
 
 
@@ -481,3 +487,69 @@ def legacy_lstgat_step(state: dict[str, np.ndarray], targets: np.ndarray,
     loss.backward()
     grads = {name: leaf.grad for name, leaf in leaves.items()}
     return prediction.data, loss.item(), grads
+
+
+# ----------------------------------------------------------------------
+# per-parameter optimizer loops (pre-store)
+# ----------------------------------------------------------------------
+# Parameters here are any objects with ``data``/``grad`` arrays (e.g.
+# LegacyTensor); ``grad is None`` means "received no gradient".
+class PerParameterSGD:
+    """The pre-store ``SGD``: one update per parameter array."""
+
+    def __init__(self, parameters, lr: float = 0.01,
+                 momentum: float = 0.0) -> None:
+        self.parameters = list(parameters)
+        self.lr = lr
+        self.momentum = momentum
+        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self) -> None:
+        """Apply one update; parameters without gradients are skipped."""
+        for parameter, velocity in zip(self.parameters, self._velocity):
+            if parameter.grad is None:
+                continue
+            if self.momentum:
+                velocity *= self.momentum
+                velocity += parameter.grad
+                parameter.data -= self.lr * velocity
+            else:
+                parameter.data -= self.lr * parameter.grad
+
+
+class PerParameterAdam:
+    """The pre-store ``Adam``: one update per parameter array."""
+
+    def __init__(self, parameters, lr: float = 1e-3,
+                 betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8) -> None:
+        self.parameters = list(parameters)
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self) -> None:
+        """Apply one Adam update; parameters without gradients are skipped."""
+        self._step_count += 1
+        bias1 = 1.0 - self.beta1 ** self._step_count
+        bias2 = 1.0 - self.beta2 ** self._step_count
+        for parameter, m, v in zip(self.parameters, self._m, self._v):
+            if parameter.grad is None:
+                continue
+            grad = parameter.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def per_parameter_soft_update(own, source, tau: float) -> None:
+    """The pre-store ``Module.soft_update_from`` over matched parameter lists."""
+    for target, src in zip(own, source):
+        target.data = tau * src.data + (1.0 - tau) * target.data

@@ -30,9 +30,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import HEADConfig
 from repro.decision.trainer import train_agent
 from repro.faults.checkpoint import ScheduleMismatchError, check_schedule
-from repro.nn.serialization import flat_parameter_size, write_flat_parameters
 from repro.train import build_agent, build_env, train_agent_parallel
 from repro.train.parallel import ReorderBuffer
+from repro.train.sync import policy_modules
 from repro.train.worker import EpisodeResult
 
 GOLDEN = json.loads(
@@ -59,10 +59,8 @@ def make_agent(config: HEADConfig):
 
 
 def weights_digest(agent) -> str:
-    modules = [getattr(agent, name) for name in sorted(vars(agent))
-               if hasattr(getattr(agent, name), "named_parameters")]
-    flat = np.empty(flat_parameter_size(modules))
-    write_flat_parameters(modules, flat)
+    flat = np.concatenate([module.store()[0]
+                           for module in policy_modules(agent)])
     return hashlib.sha256(flat.tobytes()).hexdigest()
 
 
