@@ -5,13 +5,14 @@ stores transitions, and performs one optimization step per environment
 step (paper: Adam, 4,000 episodes, batch 64; episode counts are
 configurable because this reproduction trains on CPU).
 
-The loop is crash-safe when given a ``checkpoint_dir``: every
-``checkpoint_every`` episodes the full mutable training state (networks,
-optimizer moments, replay buffer, RNG streams, reward history) is
-written atomically via :mod:`repro.faults.checkpoint`, a killed process
-resumes from the last checkpoint to the *same* learning curve, and a
-non-finite loss or reward triggers a rollback to the last good
-checkpoint instead of silently corrupting the run.
+One driver, :func:`run_training`, owns the run state of both trainers
+(log, checkpoints, resume, NaN rollback); they differ only in where
+episodes come from.  With a ``checkpoint_dir`` the run is crash-safe:
+the full mutable training state is written atomically via
+:mod:`repro.faults.checkpoint`, a killed process resumes to the *same*
+learning curve (under the same recorded schedule only), and a
+non-finite loss or reward rolls back to the last good checkpoint
+instead of silently corrupting the run.
 """
 
 from __future__ import annotations
@@ -19,18 +20,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ..faults.checkpoint import load_checkpoint, save_checkpoint
+from ..faults.checkpoint import (check_schedule, load_checkpoint,
+                                 save_checkpoint)
 from .agents import PamdpAgent
 from .environment import DrivingEnv
 from .pamdp import ParameterizedAction
 from .replay import Transition
 
-__all__ = ["RLTrainingLog", "train_agent", "NaNLossError", "CHECKPOINT_NAME",
-           "EpisodeRunner", "EpisodeOutcome", "LearningSink"]
+__all__ = ["RLTrainingLog", "train_agent", "run_training", "NaNLossError",
+           "CHECKPOINT_NAME", "EpisodeRunner", "EpisodeOutcome",
+           "LearningSink"]
 
 #: Optional hook rewriting actions before execution (DRL-SC safety check).
 ActionFilter = Callable[[DrivingEnv, ParameterizedAction], ParameterizedAction]
@@ -57,10 +60,10 @@ class RLTrainingLog:
     wall_time: float = 0.0
     nan_rollbacks: int = 0
     resumed_episodes: int = 0
-    #: Chained SHA-256 over the consumed transition stream, set by the
-    #: parallel trainer (``repro.train``); equality across worker counts
-    #: certifies the optimizer saw the identical sequence.  The serial
-    #: loop leaves it None.
+    #: Chained SHA-256 over the consumed transition stream, extended by
+    #: the round source (``repro.train``) and checkpointed with the log;
+    #: equality across worker counts certifies the optimizer saw the
+    #: identical sequence.  The serial source leaves it None (no hashing).
     transition_digest: str | None = None
 
     @property
@@ -70,26 +73,6 @@ class RLTrainingLog:
     def mean_recent_reward(self, window: int = 50) -> float:
         recent = self.episode_rewards[-window:]
         return sum(recent) / max(len(recent), 1)
-
-
-def _checkpoint_extra(log: RLTrainingLog, next_episode: int,
-                      wall_time: float) -> dict:
-    return {
-        "next_episode": next_episode,
-        "episode_rewards": list(log.episode_rewards),
-        "episode_steps": list(log.episode_steps),
-        "collisions": log.collisions,
-        "wall_time": wall_time,
-    }
-
-
-def _restore(path: Path, agent: PamdpAgent, log: RLTrainingLog) -> tuple[int, float]:
-    """Load a checkpoint into agent and log; returns (next_episode, wall)."""
-    extra = load_checkpoint(path, agent)
-    log.episode_rewards[:] = [float(r) for r in extra["episode_rewards"]]
-    log.episode_steps[:] = [int(s) for s in extra["episode_steps"]]
-    log.collisions = int(extra["collisions"])
-    return int(extra["next_episode"]), float(extra["wall_time"])
 
 
 def _finite(losses: dict[str, float] | None) -> bool:
@@ -182,6 +165,114 @@ class EpisodeRunner:
         return EpisodeOutcome(reward_sum, steps, env.result.collided, False)
 
 
+def _load_run(path: Path, agent: PamdpAgent, log: RLTrainingLog,
+              schedule: dict) -> tuple[int, float, int]:
+    """Restore agent and log; returns ``(next_episode, wall, rollbacks)``."""
+    extra = load_checkpoint(path, agent)
+    check_schedule(extra, schedule, path=path)
+    log.episode_rewards[:] = [float(r) for r in extra["episode_rewards"]]
+    log.episode_steps[:] = [int(s) for s in extra["episode_steps"]]
+    log.collisions = int(extra["collisions"])
+    log.transition_digest = extra["transition_digest"]
+    return (int(extra["next_episode"]), float(extra["wall_time"]),
+            int(extra["rollbacks"]))
+
+
+def run_training(agent: PamdpAgent, source, episodes: int, *,
+                 checkpoint_dir: str | Path | None = None,
+                 checkpoint_every: int = 0,
+                 resume: bool = True,
+                 max_nan_rollbacks: int = 3) -> RLTrainingLog:
+    """Train ``agent`` on ``episodes`` episodes drawn from ``source``.
+
+    The source provides ``schedule`` (the JSON constants its curve is a
+    function of; recorded in checkpoints, checked on resume),
+    ``round_size``, ``run_round(episode, round_end, log)`` (learns from
+    and yields the :class:`EpisodeOutcome` of each episode in
+    ``[episode, round_end)``) and ``abandon()`` (drop the round after a
+    rollback).  Checkpoints land on the first round boundary at or past
+    ``checkpoint_every``.
+    """
+    log = RLTrainingLog()
+    ckpt_path = (None if checkpoint_dir is None
+                 else Path(checkpoint_dir) / CHECKPOINT_NAME)
+    episode = 0
+    base_wall = 0.0
+    if ckpt_path is not None and resume and ckpt_path.exists():
+        episode, base_wall, log.nan_rollbacks = _load_run(
+            ckpt_path, agent, log, source.schedule)
+        log.resumed_episodes = episode
+    last_saved = episode
+    start = time.perf_counter()
+
+    while episode < episodes:
+        round_end = min(episode + source.round_size, episodes)
+        for outcome in source.run_round(episode, round_end, log):
+            if outcome.diverged:
+                log.nan_rollbacks += 1
+                if (ckpt_path is None or not ckpt_path.exists()
+                        or log.nan_rollbacks > max_nan_rollbacks):
+                    raise NaNLossError(
+                        f"non-finite loss/reward in episode {episode} "
+                        f"(rollbacks used: {log.nan_rollbacks - 1})")
+                # the checkpoint's rollback count predates this divergence:
+                # keep the live one
+                episode, base_wall, _ = _load_run(ckpt_path, agent, log,
+                                                  source.schedule)
+                # deterministic jitter: without it the restored state
+                # replays the exact trajectory back into the same divergence
+                agent.rng.random(log.nan_rollbacks)
+                source.abandon()
+                start = time.perf_counter()
+                break
+            log.episode_rewards.append(outcome.mean_reward)
+            log.episode_steps.append(outcome.steps)
+            if outcome.collided:
+                log.collisions += 1
+            episode += 1
+
+        if (ckpt_path is not None and checkpoint_every > 0
+                and episode - last_saved >= checkpoint_every):
+            save_checkpoint(ckpt_path, agent, extra={
+                "next_episode": episode,
+                "episode_rewards": list(log.episode_rewards),
+                "episode_steps": list(log.episode_steps),
+                "collisions": log.collisions,
+                "wall_time": base_wall + (time.perf_counter() - start),
+                "rollbacks": log.nan_rollbacks,
+                "transition_digest": log.transition_digest,
+                "schedule": source.schedule,
+            })
+            last_saved = episode
+    log.wall_time = base_wall + (time.perf_counter() - start)
+    return log
+
+
+class _SerialSource:
+    """Rounds of one episode, learning online through :class:`LearningSink`."""
+
+    round_size = 1
+
+    def __init__(self, agent: PamdpAgent, env: DrivingEnv, seed_offset: int,
+                 learn_every: int, action_filter: ActionFilter | None,
+                 max_episode_steps: int | None) -> None:
+        self.schedule = {"trainer": "serial", "seed_offset": int(seed_offset),
+                         "learn_every": int(learn_every),
+                         "max_episode_steps": max_episode_steps}
+        self.agent = agent
+        self.seed_offset = seed_offset
+        self.runner = EpisodeRunner(env, action_filter, max_episode_steps)
+        self.sink = LearningSink(agent, learn_every)
+
+    def run_round(self, episode: int, round_end: int,
+                  log: RLTrainingLog) -> Iterator[EpisodeOutcome]:
+        yield self.runner.run(self.agent, self.seed_offset + episode,
+                              self.sink)
+
+    def abandon(self) -> None:
+        pass  # nothing runs ahead of the learner
+
+
 def train_agent(agent: PamdpAgent, env: DrivingEnv, episodes: int,
                 seed_offset: int = 0, learn_every: int = 1,
                 action_filter: ActionFilter | None = None,
@@ -211,48 +302,17 @@ def train_agent(agent: PamdpAgent, env: DrivingEnv, episodes: int,
         Continue from an existing checkpoint in ``checkpoint_dir`` (a
         killed run picks up where its last checkpoint left off and
         reproduces the uninterrupted run's episode rewards exactly).
+        A checkpoint of another schedule raises
+        :class:`~repro.faults.checkpoint.ScheduleMismatchError`.
     max_nan_rollbacks:
         A non-finite loss or reward restores the last good checkpoint
         (with a deterministic RNG perturbation so the run does not
         replay into the same divergence) at most this many times before
         :class:`NaNLossError` is raised.
     """
-    log = RLTrainingLog()
-    ckpt_path: Path | None = None
-    if checkpoint_dir is not None:
-        ckpt_path = Path(checkpoint_dir) / CHECKPOINT_NAME
-    episode = 0
-    base_wall = 0.0
-    if ckpt_path is not None and resume and ckpt_path.exists():
-        episode, base_wall = _restore(ckpt_path, agent, log)
-        log.resumed_episodes = episode
-    start = time.perf_counter()
-
-    runner = EpisodeRunner(env, action_filter, max_episode_steps)
-    sink = LearningSink(agent, learn_every)
-    while episode < episodes:
-        outcome = runner.run(agent, seed_offset + episode, sink)
-        if outcome.diverged:
-            log.nan_rollbacks += 1
-            if (ckpt_path is None or not ckpt_path.exists()
-                    or log.nan_rollbacks > max_nan_rollbacks):
-                raise NaNLossError(
-                    f"non-finite loss/reward in episode {episode} "
-                    f"(rollbacks used: {log.nan_rollbacks - 1})")
-            episode, base_wall = _restore(ckpt_path, agent, log)
-            # deterministic jitter: without it the restored state replays
-            # the exact trajectory back into the same divergence
-            agent.rng.random(log.nan_rollbacks)
-            continue
-        log.episode_rewards.append(outcome.mean_reward)
-        log.episode_steps.append(outcome.steps)
-        if outcome.collided:
-            log.collisions += 1
-        episode += 1
-        if (ckpt_path is not None and checkpoint_every > 0
-                and episode % checkpoint_every == 0):
-            wall = base_wall + (time.perf_counter() - start)
-            save_checkpoint(ckpt_path, agent,
-                            extra=_checkpoint_extra(log, episode, wall))
-    log.wall_time = base_wall + (time.perf_counter() - start)
-    return log
+    source = _SerialSource(agent, env, seed_offset, learn_every,
+                           action_filter, max_episode_steps)
+    return run_training(agent, source, episodes,
+                        checkpoint_dir=checkpoint_dir,
+                        checkpoint_every=checkpoint_every, resume=resume,
+                        max_nan_rollbacks=max_nan_rollbacks)

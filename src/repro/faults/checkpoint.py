@@ -47,7 +47,7 @@ __all__ = ["CheckpointError", "ScheduleMismatchError", "save_checkpoint",
            "load_checkpoint", "check_schedule", "latest_checkpoint",
            "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _META_KEY = "__meta__"
 
@@ -67,19 +67,19 @@ class ScheduleMismatchError(CheckpointError):
 def check_schedule(extra: dict, expected: dict, path=None) -> None:
     """Validate a checkpoint's recorded training schedule against ours.
 
-    Parallel training is only bit-reproducible when the *schedule
-    constants* -- root seed, sync interval, learn cadence, seed offset
-    -- match between the run that wrote the checkpoint and the run
-    resuming from it (worker *count* is deliberately absent: it is the
-    one thing the contract says may change).  Resuming under different
-    constants would silently produce a third learning curve that is
-    neither the old run nor a fresh one, so it fails loudly instead.
+    A resumed run is only bit-reproducible when the *schedule
+    constants* -- trainer kind, seeds, learn cadence, episode cap, sync
+    interval -- match the run that wrote the checkpoint (the parallel
+    worker *count* is deliberately absent: it is the one thing the
+    contract says may change).  Resuming under different constants
+    would silently produce a third learning curve that is neither the
+    old run nor a fresh one, so it fails loudly instead.
     """
     recorded = extra.get("schedule")
     if recorded is None:
         raise ScheduleMismatchError(
             f"{path or 'checkpoint'} records no training schedule -- it was "
-            f"not written by the parallel trainer")
+            f"not written by a training run")
     mismatched = {key: (recorded.get(key), value)
                   for key, value in expected.items()
                   if recorded.get(key) != value}

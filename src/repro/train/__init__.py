@@ -2,8 +2,9 @@
 
 One learner process plus N actor workers generating experience under a
 round-based synchronous schedule that makes the learning curve a pure
-function of ``(root_seed, sync_every, learn_every, seed_offset)`` --
-bitwise invariant in the worker count.  See ``docs/training.md``.
+function of ``(root_seed, sync_every, learn_every, seed_offset,
+max_episode_steps)`` -- bitwise invariant in the worker count.  See
+``docs/training.md``.
 """
 
 from .factories import build_agent, build_env, predictor_state

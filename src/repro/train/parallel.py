@@ -12,9 +12,10 @@ replicating the serial loop's learn cadence exactly.
 
 The determinism contract (see ``docs/training.md``):
 
-* For a fixed ``(root_seed, sync_every, learn_every, seed_offset)``,
-  the consumed transition stream, the learning curve, and the final
-  weights are **bitwise identical for every worker count** -- including
+* For a fixed ``(root_seed, sync_every, learn_every, seed_offset,
+  max_episode_steps)``, the consumed transition stream, the learning
+  curve, and the final weights are **bitwise identical for every
+  worker count** -- including
   ``workers=0`` (in-process generation, no subprocesses) and
   ``workers=1``.
 * The *parallel schedule* is not the *serial schedule*: the serial loop
@@ -24,12 +25,11 @@ The determinism contract (see ``docs/training.md``):
   with one actor, not ``train_agent``'s curve; the CLI keeps
   ``--workers 1`` on the serial path for backward bit-compatibility.
 
-Crash safety extends PR 2's checkpoints: snapshots happen at round
-boundaries (where no generation is in flight, so there is no queue
-state to persist -- in-flight episodes are pure functions of their
-task and simply regenerate on resume), stamped with the schedule
-constants, the consumed-stream digest, and the rollback count so a
-SIGKILL-resume reproduces the uninterrupted run exactly.
+This module is the round *episode source* of the one training driver,
+:func:`~repro.decision.trainer.run_training`, which owns the log,
+checkpoints, resume and NaN rollback of both trainers; what stays here
+is what is truly parallel (publish/dispatch, reorder, digest, the
+generation counter a rollback bumps to drop stale in-flight results).
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import queue
-import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from ..decision.agents import PamdpAgent
 from ..decision.replay import TransitionBatch
-from ..decision.trainer import (ActionFilter, CHECKPOINT_NAME, EpisodeRunner,
-                                NaNLossError, RLTrainingLog, _finite)
-from ..faults.checkpoint import (check_schedule, load_checkpoint,
-                                 save_checkpoint)
+from ..decision.trainer import (EpisodeOutcome, EpisodeRunner, RLTrainingLog,
+                                _finite, run_training)
 from .sync import SharedPolicy, policy_modules
 from .worker import (EpisodeResult, EpisodeTask, WorkerOptions, run_episode,
                      worker_main)
@@ -135,68 +133,47 @@ def _consume_episode(agent: PamdpAgent, batch: TransitionBatch,
     return digest, generated_diverged
 
 
-def _parallel_extra(log: RLTrainingLog, next_episode: int, wall_time: float,
-                    schedule: dict, digest: str) -> dict:
-    return {
-        "next_episode": next_episode,
-        "episode_rewards": list(log.episode_rewards),
-        "episode_steps": list(log.episode_steps),
-        "collisions": log.collisions,
-        "wall_time": wall_time,
-        "rollbacks": log.nan_rollbacks,
-        "transition_digest": digest,
-        "schedule": schedule,
-    }
-
-
-def _restore_parallel(path: Path, agent: PamdpAgent, log: RLTrainingLog,
-                      schedule: dict) -> tuple[int, float, str]:
-    """Load a parallel checkpoint; returns (next_episode, wall, digest)."""
-    extra = load_checkpoint(path, agent)
-    check_schedule(extra, schedule, path=path)
-    log.episode_rewards[:] = [float(r) for r in extra["episode_rewards"]]
-    log.episode_steps[:] = [int(s) for s in extra["episode_steps"]]
-    log.collisions = int(extra["collisions"])
-    log.nan_rollbacks = int(extra["rollbacks"])
-    return (int(extra["next_episode"]), float(extra["wall_time"]),
-            str(extra["transition_digest"]))
-
-
 class _InlineActors:
     """``workers=0``: generate each round in-process, no subprocesses.
 
-    Bitwise equal to worker mode -- episodes are generated for the whole
-    round *before* any of it is consumed (so the policy is frozen at the
-    round snapshot, exactly like a worker holding the published
-    version), on the learner's own agent with its exploration stream and
-    clock swapped out per episode.  The replay buffer keeps sharing the
+    Bitwise equal to worker mode -- dispatch generates the whole round
+    *before* any of it is consumed (so the policy is frozen at the round
+    snapshot, exactly like a worker holding the published version), on
+    the learner's own agent with its exploration stream and clock
+    swapped out per episode.  The replay buffer keeps sharing the
     learner's real generator object, so sampling draws are untouched.
     Exists so equivalence tests and debugging runs pay zero spawn cost.
     """
 
     def __init__(self, agent: PamdpAgent, env_factory,
-                 options: WorkerOptions,
-                 action_filter: ActionFilter | None) -> None:
+                 options: WorkerOptions) -> None:
         self.agent = agent
-        self.runner = EpisodeRunner(env_factory(), action_filter,
-                                    options.max_episode_steps)
+        self.runner = EpisodeRunner(
+            env_factory(), max_episode_steps=options.max_episode_steps)
         self.options = options
+        self._results: Iterator[EpisodeResult] = iter(())
 
-    def generate(self, tasks: list[EpisodeTask]) -> list[EpisodeResult]:
+    def publish(self, modules) -> int:
+        return 0  # generation reads the learner's own networks
+
+    def dispatch(self, tasks: list[EpisodeTask]) -> None:
+        # the options' exploration schedule is the learner's own, so only
+        # the stream and the clock need swapping
         agent = self.agent
         saved_rng, saved_steps = agent.rng, agent.total_steps
-        saved_epsilon = agent.epsilon
-        saved_noise = agent.noise_scale
         try:
-            agent.epsilon = self.options.epsilon
-            agent.noise_scale = self.options.noise_scale
-            return [run_episode(agent, self.runner, task, self.options)
-                    for task in tasks]
+            self._results = iter([
+                run_episode(agent, self.runner, task, self.options)
+                for task in tasks])
         finally:
             agent.rng = saved_rng
             agent.total_steps = saved_steps
-            agent.epsilon = saved_epsilon
-            agent.noise_scale = saved_noise
+
+    def next_result(self, generation: int) -> EpisodeResult:
+        return next(self._results)
+
+    def shutdown(self) -> None:
+        pass
 
 
 class _WorkerPool:
@@ -218,6 +195,9 @@ class _WorkerPool:
         ]
         for process in self.processes:
             process.start()
+
+    def publish(self, modules) -> int:
+        return self.policy.publish(modules)
 
     def dispatch(self, tasks: list[EpisodeTask]) -> None:
         for task in tasks:
@@ -258,6 +238,45 @@ class _WorkerPool:
             q.close()
 
 
+class _RoundSource:
+    """Rounds of ``sync_every`` episodes generated against one published
+    snapshot and consumed in canonical order; ``abandon`` bumps the
+    generation, so results in flight from a rolled-back round are dropped.
+    """
+
+    def __init__(self, agent: PamdpAgent, actors, sync_every: int,
+                 learn_every: int, schedule: dict) -> None:
+        self.agent = agent
+        self.actors = actors
+        self.round_size = sync_every
+        self.learn_every = learn_every
+        self.schedule = schedule
+        self.modules = policy_modules(agent)
+        self.generation = 0
+        self.reorder = ReorderBuffer()
+
+    def run_round(self, episode: int, round_end: int,
+                  log: RLTrainingLog) -> Iterator[EpisodeOutcome]:
+        version = self.actors.publish(self.modules)
+        self.reorder.reset(episode)
+        self.actors.dispatch([
+            EpisodeTask(generation=self.generation, episode=e,
+                        clock_base=self.agent.total_steps, version=version,
+                        rollbacks=log.nan_rollbacks)
+            for e in range(episode, round_end)])
+        for _ in range(episode, round_end):
+            while (result := self.reorder.take()) is None:
+                self.reorder.put(self.actors.next_result(self.generation))
+            log.transition_digest, diverged = _consume_episode(
+                self.agent, result.batch(), result.diverged,
+                self.learn_every, log.transition_digest or "seed")
+            yield EpisodeOutcome(result.reward_sum, result.steps,
+                                 result.collided, diverged)
+
+    def abandon(self) -> None:
+        self.generation += 1
+
+
 def train_agent_parallel(agent: PamdpAgent, env_factory, episodes: int, *,
                          workers: int,
                          agent_factory=None,
@@ -265,7 +284,6 @@ def train_agent_parallel(agent: PamdpAgent, env_factory, episodes: int, *,
                          learn_every: int = 1,
                          seed_offset: int = 10_000,
                          root_seed: int | None = None,
-                         action_filter: ActionFilter | None = None,
                          max_episode_steps: int | None = None,
                          checkpoint_dir: str | Path | None = None,
                          checkpoint_every: int = 0,
@@ -292,8 +310,9 @@ def train_agent_parallel(agent: PamdpAgent, env_factory, episodes: int, *,
         the policy snapshot published at the round start, so this bounds
         policy staleness (in episodes) and is part of the schedule
         identity -- changing it changes the learning curve.
-    learn_every / seed_offset:
-        Same meaning as in :func:`~repro.decision.trainer.train_agent`.
+    learn_every / seed_offset / max_episode_steps:
+        Same meaning as in :func:`~repro.decision.trainer.train_agent`;
+        all three are part of the schedule identity.
     root_seed:
         Root of the per-episode exploration streams (default:
         ``seed_offset``).  Part of the schedule identity.
@@ -313,109 +332,27 @@ def train_agent_parallel(agent: PamdpAgent, env_factory, episodes: int, *,
     if root_seed is None:
         root_seed = seed_offset
 
-    schedule = {"root_seed": int(root_seed), "sync_every": int(sync_every),
+    schedule = {"trainer": "rounds", "root_seed": int(root_seed),
+                "sync_every": int(sync_every),
                 "learn_every": int(learn_every),
-                "seed_offset": int(seed_offset)}
-    modules = policy_modules(agent)
+                "seed_offset": int(seed_offset),
+                "max_episode_steps": max_episode_steps}
     options = WorkerOptions(
         root_seed=root_seed, seed_offset=seed_offset,
         max_episode_steps=max_episode_steps, epsilon=agent.epsilon,
         noise_scale=agent.noise_scale,
         parent_pid=multiprocessing.current_process().pid or 0)
-
-    log = RLTrainingLog()
-    digest = "seed"
-    ckpt_path: Path | None = None
-    if checkpoint_dir is not None:
-        ckpt_path = Path(checkpoint_dir) / CHECKPOINT_NAME
-    episode = 0
-    base_wall = 0.0
-    last_saved = 0
-    if ckpt_path is not None and resume and ckpt_path.exists():
-        episode, base_wall, digest = _restore_parallel(ckpt_path, agent, log,
-                                                       schedule)
-        log.resumed_episodes = episode
-        last_saved = episode
-    start = time.perf_counter()
-
-    pool: _WorkerPool | None = None
-    inline: _InlineActors | None = None
     if workers >= 1:
-        pool = _WorkerPool(workers, agent, env_factory, agent_factory,
-                           options)
+        actors = _WorkerPool(workers, agent, env_factory, agent_factory,
+                             options)
     else:
-        inline = _InlineActors(agent, env_factory, options, action_filter)
-    generation = 0
-    reorder = ReorderBuffer(episode)
-
+        actors = _InlineActors(agent, env_factory, options)
+    source = _RoundSource(agent, actors, sync_every, learn_every, schedule)
     try:
-        while episode < episodes:
-            round_end = min(episode + sync_every, episodes)
-            tasks = [EpisodeTask(generation=generation, episode=e,
-                                 clock_base=agent.total_steps,
-                                 version=0, rollbacks=log.nan_rollbacks)
-                     for e in range(episode, round_end)]
-            if pool is not None:
-                version = pool.policy.publish(modules)
-                tasks = [EpisodeTask(generation=t.generation,
-                                     episode=t.episode,
-                                     clock_base=t.clock_base,
-                                     version=version,
-                                     rollbacks=t.rollbacks) for t in tasks]
-                pool.dispatch(tasks)
-            else:
-                for result in inline.generate(tasks):
-                    reorder.put(result)
-
-            diverged = False
-            while episode < round_end:
-                result = reorder.take()
-                if result is None:
-                    reorder.put(pool.next_result(generation))
-                    continue
-                digest, diverged = _consume_episode(
-                    agent, result.batch(), result.diverged, learn_every,
-                    digest)
-                if diverged:
-                    break
-                log.episode_rewards.append(
-                    result.reward_sum / max(result.steps, 1))
-                log.episode_steps.append(result.steps)
-                if result.collided:
-                    log.collisions += 1
-                episode += 1
-
-            if diverged:
-                log.nan_rollbacks += 1
-                if (ckpt_path is None or not ckpt_path.exists()
-                        or log.nan_rollbacks > max_nan_rollbacks):
-                    raise NaNLossError(
-                        f"non-finite loss/reward in episode {episode} "
-                        f"(rollbacks used: {log.nan_rollbacks - 1})")
-                rollbacks = log.nan_rollbacks
-                episode, base_wall, digest = _restore_parallel(
-                    ckpt_path, agent, log, schedule)
-                # the restored counter predates the divergence; carry the
-                # live count so the retry's exploration streams (keyed on
-                # it) actually explore differently
-                log.nan_rollbacks = rollbacks
-                agent.rng.random(log.nan_rollbacks)
-                generation += 1
-                reorder.reset(episode)
-                start = time.perf_counter()
-                continue
-
-            if (ckpt_path is not None and checkpoint_every > 0
-                    and episode - last_saved >= checkpoint_every):
-                wall = base_wall + (time.perf_counter() - start)
-                save_checkpoint(ckpt_path, agent,
-                                extra=_parallel_extra(log, episode, wall,
-                                                      schedule, digest))
-                last_saved = episode
+        return run_training(agent, source, episodes,
+                            checkpoint_dir=checkpoint_dir,
+                            checkpoint_every=checkpoint_every,
+                            resume=resume,
+                            max_nan_rollbacks=max_nan_rollbacks)
     finally:
-        if pool is not None:
-            pool.shutdown()
-
-    log.wall_time = base_wall + (time.perf_counter() - start)
-    log.transition_digest = digest
-    return log
+        actors.shutdown()

@@ -8,9 +8,12 @@ import pytest
 
 from repro.core import HEAD, HEADConfig
 from repro.decision import PDQNAgent, PDDPGAgent, NaNLossError, train_agent
+from repro.decision import trainer
 from repro.decision.trainer import CHECKPOINT_NAME
 from repro.faults import (CheckpointError, latest_checkpoint, load_checkpoint,
                           save_checkpoint)
+from repro.faults.checkpoint import ScheduleMismatchError
+from repro.train import train_agent_parallel
 
 
 def make_head(max_steps=20, seed=3, hidden_dim=32):
@@ -206,3 +209,72 @@ def test_rollback_budget_is_finite(tmp_path):
         train_agent(agent, env, episodes=6, seed_offset=0,
                     checkpoint_dir=tmp_path, checkpoint_every=1,
                     max_nan_rollbacks=2)
+
+
+def test_resume_after_a_rollback_reproduces_the_uninterrupted_run(tmp_path):
+    agent, env = make_poisoned(poison_at=[30, 70])
+    reference = train_agent(agent, env, episodes=6, seed_offset=0,
+                            checkpoint_dir=tmp_path / "reference",
+                            checkpoint_every=1)
+    assert reference.nan_rollbacks == 2
+
+    agent, env = make_poisoned(poison_at=[30])
+    train_agent(agent, env, episodes=3, seed_offset=0,
+                checkpoint_dir=tmp_path / "run", checkpoint_every=1)
+    # a fresh process: the restored rollback count keeps both the budget
+    # and the jitter draw of the second divergence
+    agent, env = make_poisoned(poison_at=[70])
+    log = train_agent(agent, env, episodes=6, seed_offset=0,
+                      checkpoint_dir=tmp_path / "run", checkpoint_every=1)
+    assert log.resumed_episodes == 3
+    assert log.nan_rollbacks == reference.nan_rollbacks
+    assert log.episode_rewards == reference.episode_rewards
+    assert log.episode_steps == reference.episode_steps
+
+
+def test_wall_time_after_a_rollback_counts_no_time_twice(tmp_path,
+                                                        monkeypatch):
+    # a fake clock that ticks once per environment step: the run's wall
+    # time is the checkpointed line plus the time since the restore, so
+    # it equals the steps of the kept episodes exactly
+    agent, env = make_poisoned(poison_at=[30])
+    clock = [0.0]
+    env_step = env.step
+
+    def timed_step(action):
+        clock[0] += 1.0
+        return env_step(action)
+
+    monkeypatch.setattr(env, "step", timed_step)
+    monkeypatch.setattr(trainer.time, "perf_counter", lambda: clock[0])
+    log = train_agent(agent, env, episodes=4, seed_offset=0,
+                      checkpoint_dir=tmp_path, checkpoint_every=1)
+    assert log.nan_rollbacks == 1
+    assert clock[0] > sum(log.episode_steps)  # the rollback wasted steps
+    assert log.wall_time == pytest.approx(sum(log.episode_steps))
+
+
+# ----------------------------------------------------------------------
+# schedule records
+# ----------------------------------------------------------------------
+def test_serial_resume_refuses_a_parallel_checkpoint(tmp_path):
+    head = make_head()
+    train_agent_parallel(head.agent, head.make_env, 2, workers=0,
+                         sync_every=1, seed_offset=0,
+                         checkpoint_dir=tmp_path, checkpoint_every=1)
+    again = make_head()
+    with pytest.raises(ScheduleMismatchError, match="trainer"):
+        train_agent(again.agent, again.make_env(), episodes=4,
+                    seed_offset=0, checkpoint_dir=tmp_path,
+                    checkpoint_every=1)
+
+
+def test_serial_resume_refuses_a_changed_learn_every(tmp_path):
+    head = make_head()
+    train_agent(head.agent, head.make_env(), episodes=2, seed_offset=0,
+                checkpoint_dir=tmp_path, checkpoint_every=1)
+    again = make_head()
+    with pytest.raises(ScheduleMismatchError, match="learn_every"):
+        train_agent(again.agent, again.make_env(), episodes=4,
+                    seed_offset=0, learn_every=3, checkpoint_dir=tmp_path,
+                    checkpoint_every=1)

@@ -28,8 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import HEADConfig
+from repro.decision.agents import PDQNAgent
 from repro.decision.trainer import train_agent
 from repro.faults.checkpoint import ScheduleMismatchError, check_schedule
+from repro.seeding import default_generator
 from repro.train import build_agent, build_env, train_agent_parallel
 from repro.train.parallel import ReorderBuffer
 from repro.train.sync import policy_modules
@@ -172,6 +174,48 @@ def test_resume_under_different_schedule_fails_loudly(tmp_path):
                              seed_offset=SEED_OFFSET,
                              max_episode_steps=MAX_STEPS,
                              checkpoint_dir=tmp_path, checkpoint_every=2)
+
+
+class PoisonedLearner(PDQNAgent):
+    """The factory agent, but its learner reports a NaN loss once at
+    ``poison_at`` total steps (the pending set is not checkpointed, so
+    the rollback does not re-arm it)."""
+
+    def __init__(self, *args, poison_at=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.poison_steps = set(poison_at)
+
+    def learn(self):
+        losses = super().learn()
+        if self.total_steps in self.poison_steps:
+            self.poison_steps.discard(self.total_steps)
+            return {"loss": float("nan")}
+        return losses
+
+
+def run_poisoned_parallel(checkpoint_dir):
+    config = small_config()
+    agent = PoisonedLearner(
+        branched=config.branched_networks, hidden_dim=config.hidden_dim,
+        gamma=config.gamma, batch_size=GOLDEN["batch_size"],
+        warmup=GOLDEN["warmup"], buffer_capacity=config.replay_capacity,
+        tau=config.tau, rng=default_generator(0),
+        poison_at=[120])  # inside the second round of four episodes
+    log = train_agent_parallel(
+        agent, functools.partial(build_env, config, max_steps=MAX_STEPS),
+        EPISODES, workers=0, sync_every=4, seed_offset=SEED_OFFSET,
+        max_episode_steps=MAX_STEPS, checkpoint_dir=checkpoint_dir,
+        checkpoint_every=4)
+    return log, agent
+
+
+def test_parallel_rollback_recovers_reproducibly(tmp_path):
+    log, agent = run_poisoned_parallel(tmp_path / "first")
+    assert log.nan_rollbacks == 1
+    assert log.episodes == EPISODES
+    assert all(np.isfinite(r) for r in log.episode_rewards)
+    rerun = fingerprint(*run_poisoned_parallel(tmp_path / "second"))
+    assert fingerprint(log, agent) == rerun
 
 
 def test_check_schedule_rejects_serial_checkpoints():
