@@ -220,24 +220,37 @@ class PDQNAgent(PamdpAgent):
         q_all = self.q_net(current, future, accels)
         return -q_all.sum(axis=1).mean()                         # Eq. 23
 
-    def _update(self, batch: Batch) -> dict[str, float]:
+    def _q_step(self, batch: Batch) -> float:
+        """One Adam step of the Q-network on the TD loss (Eq. 22)."""
         self.opt_q.zero_grad()
         self.opt_x.zero_grad()
         q_loss = self._q_loss(batch)
         q_loss.backward()
         nn.clip_grad_norm(self.opt_q.parameters, 10.0)
         self.opt_q.step()
+        return q_loss.item()
 
+    def _x_step(self, batch: Batch) -> float:
+        """One Adam step of the x-network on Eq. 23, the Q-network frozen.
+
+        The loss backpropagates through Q into x, but Q's own gradients
+        would be discarded, so the frozen critic skips computing them.
+        """
         self.opt_q.zero_grad()
         self.opt_x.zero_grad()
-        x_loss = self._x_loss(batch)
-        x_loss.backward()
+        with self.q_net.frozen():
+            x_loss = self._x_loss(batch)
+            x_loss.backward()
         nn.clip_grad_norm(self.opt_x.parameters, 10.0)
         self.opt_x.step()
+        return x_loss.item()
 
+    def _update(self, batch: Batch) -> dict[str, float]:
+        q_loss = self._q_step(batch)
+        x_loss = self._x_step(batch)
         self.q_target.soft_update_from(self.q_net, self.tau)
         self.x_target.soft_update_from(self.x_net, self.tau)
-        return {"q_loss": q_loss.item(), "x_loss": x_loss.item()}
+        return {"q_loss": q_loss, "x_loss": x_loss}
 
 
 class PQPAgent(PDQNAgent):
@@ -259,23 +272,11 @@ class PQPAgent(PDQNAgent):
         self._updates += 1
         losses = {"q_loss": 0.0, "x_loss": 0.0}
         if phase_q:
-            self.opt_q.zero_grad()
-            self.opt_x.zero_grad()
-            q_loss = self._q_loss(batch)
-            q_loss.backward()
-            nn.clip_grad_norm(self.opt_q.parameters, 10.0)
-            self.opt_q.step()
+            losses["q_loss"] = self._q_step(batch)
             self.q_target.soft_update_from(self.q_net, self.tau)
-            losses["q_loss"] = q_loss.item()
         else:
-            self.opt_q.zero_grad()
-            self.opt_x.zero_grad()
-            x_loss = self._x_loss(batch)
-            x_loss.backward()
-            nn.clip_grad_norm(self.opt_x.parameters, 10.0)
-            self.opt_x.step()
+            losses["x_loss"] = self._x_step(batch)
             self.x_target.soft_update_from(self.x_net, self.tau)
-            losses["x_loss"] = x_loss.item()
         return losses
 
 
@@ -373,9 +374,10 @@ class PDDPGAgent(PamdpAgent):
 
         self.opt_critic.zero_grad()
         self.opt_actor.zero_grad()
-        actor_action = self.actor(current, future)
-        actor_loss = -self.critic(current, future, actor_action).mean()
-        actor_loss.backward()
+        with self.critic.frozen():
+            actor_action = self.actor(current, future)
+            actor_loss = -self.critic(current, future, actor_action).mean()
+            actor_loss.backward()
         nn.clip_grad_norm(self.opt_actor.parameters, 10.0)
         self.opt_actor.step()
 

@@ -47,7 +47,8 @@ CHECKPOINT_NAME = "train.ckpt.npz"
 
 
 class NaNLossError(RuntimeError):
-    """Training diverged to NaN/inf and no checkpoint was left to roll back to."""
+    """Training diverged to NaN/inf and no checkpoint of this run was left
+    to roll back to (one it resumed from or wrote)."""
 
 
 @dataclass
@@ -198,10 +199,14 @@ def run_training(agent: PamdpAgent, source, episodes: int, *,
                  else Path(checkpoint_dir) / CHECKPOINT_NAME)
     episode = 0
     base_wall = 0.0
+    # the checkpoint a divergence may restore: one this run resumed from
+    # or wrote, never a file another run left behind
+    rollback_path = None
     if ckpt_path is not None and resume and ckpt_path.exists():
         episode, base_wall, log.nan_rollbacks = _load_run(
             ckpt_path, agent, log, source.schedule)
         log.resumed_episodes = episode
+        rollback_path = ckpt_path
     last_saved = episode
     start = time.perf_counter()
 
@@ -210,14 +215,13 @@ def run_training(agent: PamdpAgent, source, episodes: int, *,
         for outcome in source.run_round(episode, round_end, log):
             if outcome.diverged:
                 log.nan_rollbacks += 1
-                if (ckpt_path is None or not ckpt_path.exists()
-                        or log.nan_rollbacks > max_nan_rollbacks):
+                if rollback_path is None or log.nan_rollbacks > max_nan_rollbacks:
                     raise NaNLossError(
                         f"non-finite loss/reward in episode {episode} "
                         f"(rollbacks used: {log.nan_rollbacks - 1})")
                 # the checkpoint's rollback count predates this divergence:
                 # keep the live one
-                episode, base_wall, _ = _load_run(ckpt_path, agent, log,
+                episode, base_wall, _ = _load_run(rollback_path, agent, log,
                                                   source.schedule)
                 # deterministic jitter: without it the restored state
                 # replays the exact trajectory back into the same divergence
@@ -244,6 +248,7 @@ def run_training(agent: PamdpAgent, source, episodes: int, *,
                 "schedule": source.schedule,
             })
             last_saved = episode
+            rollback_path = ckpt_path
     log.wall_time = base_wall + (time.perf_counter() - start)
     return log
 
@@ -306,9 +311,10 @@ def train_agent(agent: PamdpAgent, env: DrivingEnv, episodes: int,
         :class:`~repro.faults.checkpoint.ScheduleMismatchError`.
     max_nan_rollbacks:
         A non-finite loss or reward restores the last good checkpoint
-        (with a deterministic RNG perturbation so the run does not
-        replay into the same divergence) at most this many times before
-        :class:`NaNLossError` is raised.
+        this run resumed from or wrote (never one another run left in
+        ``checkpoint_dir``), with a deterministic RNG perturbation so
+        the run does not replay into the same divergence, at most this
+        many times before :class:`NaNLossError` is raised.
     """
     source = _SerialSource(agent, env, seed_offset, learn_every,
                            action_filter, max_episode_steps)

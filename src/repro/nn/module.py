@@ -8,6 +8,7 @@ this module knows the flat parameter store layout (see :func:`flatten`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -151,6 +152,26 @@ class Module:
         """Clear gradients of every parameter."""
         for parameter in self.parameters():
             parameter.zero_grad()
+
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """Clear ``requires_grad`` on every parameter for the block's duration.
+
+        Gradients still flow *through* the module to its inputs, but none
+        is computed for its own parameters (an actor loss backpropagating
+        through a critic).  The flags come back in ``finally``; keep the
+        ``backward()`` inside the block, because the tape checks each
+        parent's flag again when it replays.
+        """
+        parameters = self.parameters()
+        flags = [parameter.requires_grad for parameter in parameters]
+        for parameter in parameters:
+            parameter.requires_grad = False
+        try:
+            yield
+        finally:
+            for parameter, flag in zip(parameters, flags):
+                parameter.requires_grad = flag
 
     def num_parameters(self) -> int:
         """Return the total scalar parameter count."""

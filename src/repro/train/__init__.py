@@ -8,13 +8,15 @@ max_episode_steps)`` -- bitwise invariant in the worker count.  See
 """
 
 from .factories import build_agent, build_env, predictor_state
-from .parallel import ReorderBuffer, WorkerCrashError, train_agent_parallel
+from .parallel import (ReorderBuffer, StalePolicyError, WorkerCrashError,
+                       train_agent_parallel)
 from .sync import SharedPolicy, policy_modules
 from .worker import (CollectSink, EpisodeResult, EpisodeTask, WorkerOptions,
                      run_episode, worker_main)
 
 __all__ = [
     "train_agent_parallel", "ReorderBuffer", "WorkerCrashError",
+    "StalePolicyError",
     "SharedPolicy", "policy_modules",
     "WorkerOptions", "EpisodeTask", "EpisodeResult", "CollectSink",
     "run_episode", "worker_main",

@@ -50,7 +50,8 @@ from .sync import SharedPolicy, policy_modules
 from .worker import (EpisodeResult, EpisodeTask, WorkerOptions, run_episode,
                      worker_main)
 
-__all__ = ["train_agent_parallel", "ReorderBuffer", "WorkerCrashError"]
+__all__ = ["train_agent_parallel", "ReorderBuffer", "WorkerCrashError",
+           "StalePolicyError"]
 
 #: Seconds between learner liveness checks while waiting on results.
 _RESULT_POLL = 5.0
@@ -58,6 +59,11 @@ _RESULT_POLL = 5.0
 
 class WorkerCrashError(RuntimeError):
     """An actor worker died or raised instead of producing its episode."""
+
+
+class StalePolicyError(RuntimeError):
+    """An episode of the current round ran under another policy version
+    than the one the round was published as."""
 
 
 class ReorderBuffer:
@@ -267,6 +273,10 @@ class _RoundSource:
         for _ in range(episode, round_end):
             while (result := self.reorder.take()) is None:
                 self.reorder.put(self.actors.next_result(self.generation))
+            if result.version != version:
+                raise StalePolicyError(
+                    f"episode {result.episode} ran under policy version "
+                    f"{result.version}; its round was published as {version}")
             log.transition_digest, diverged = _consume_episode(
                 self.agent, result.batch(), result.diverged,
                 self.learn_every, log.transition_digest or "seed")

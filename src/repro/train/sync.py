@@ -73,11 +73,6 @@ class SharedPolicy:
                     offset += own.size
             return current
 
-    @property
-    def version(self) -> int:
-        with self._lock:
-            return int(self._version.value)
-
     @staticmethod
     def for_agent(ctx, agent) -> "SharedPolicy":
         return SharedPolicy(ctx, sum(m.num_parameters() for m in policy_modules(agent)))

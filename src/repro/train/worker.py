@@ -61,7 +61,8 @@ class EpisodeTask:
     generation: int   # rollback epoch; stale-generation results are dropped
     episode: int
     clock_base: int   # learner's total_steps at the round start
-    version: int      # policy version the round was published as
+    version: int      # policy version the round was published as; checked
+                      # against the version the worker held
     rollbacks: int    # folded into the exploration stream key
 
 
@@ -78,6 +79,7 @@ class EpisodeResult:
     collided: bool = False
     diverged: bool = False
     error: str | None = None
+    version: int = 0  # policy version the episode ran under (0: inline)
 
     def batch(self) -> TransitionBatch:
         return TransitionBatch(**self.payload)
@@ -155,7 +157,8 @@ def worker_main(worker_id: int, task_queue, result_queue,
         try:
             held_version = policy.refresh(modules, held_version)
             result = run_episode(actor, runner, task, options)
-            result_queue.put(replace(result, worker_id=worker_id))
+            result_queue.put(replace(result, worker_id=worker_id,
+                                     version=held_version))
         except BaseException:
             result_queue.put(EpisodeResult(
                 generation=task.generation, episode=task.episode,

@@ -202,6 +202,18 @@ def test_nan_loss_rolls_back_to_the_last_checkpoint(tmp_path):
     assert all(np.isfinite(r) for r in log.episode_rewards)
 
 
+def test_rollback_never_restores_another_runs_checkpoint(tmp_path):
+    agent, env = make_poisoned(poison_at=[])
+    train_agent(agent, env, episodes=3, seed_offset=0,
+                checkpoint_dir=tmp_path, checkpoint_every=1)
+    # a fresh run over the finished run's file diverges before its own
+    # first save: nothing of its own to roll back to
+    agent, env = make_poisoned(poison_at=[5])
+    with pytest.raises(NaNLossError):
+        train_agent(agent, env, episodes=4, seed_offset=0,
+                    checkpoint_dir=tmp_path, checkpoint_every=1, resume=False)
+
+
 def test_rollback_budget_is_finite(tmp_path):
     # poison every learn step from 25 on: rollback can never get past it
     agent, env = make_poisoned(poison_at=range(25, 400))

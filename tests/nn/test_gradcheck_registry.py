@@ -19,6 +19,7 @@ import pytest
 from repro import nn
 from repro.nn import Tensor
 from repro.nn.recurrent import lstm_sequence, lstm_step
+from repro.decision.networks import branched_q, branched_x
 
 EPS = 1e-6
 
@@ -263,6 +264,41 @@ CASES: dict[str, list[Case]] = {
              tolerance=1e-4),                               # single step, H=1
     ],
 }
+
+def _branched_inputs(batch: int, hidden: int, accels: bool, seed: int) -> dict:
+    """Rows and weights of a fused BP-DQN network, weights in store order."""
+    shapes = {"current": (batch, 7, 4), "future": (batch, 6, 4)}
+    if accels:
+        shapes["accels"] = (batch, 3)
+    for branch, width in [("c", 4), ("f", 4)] + ([("a", 3)] if accels else []):
+        reduced = 3 if branch == "a" else 1
+        shapes.update({f"{branch}_lift_w": (hidden, width), f"{branch}_lift_b": (hidden,),
+                       f"{branch}_reduce_w": (reduced, hidden),
+                       f"{branch}_reduce_b": (reduced,)})
+    merged = 16 if accels else 13
+    shapes.update({"merge_w": (3, merged), "merge_b": (3,)})
+    return {name: _arr(shape, seed=seed + index)
+            for index, (name, shape) in enumerate(shapes.items())}
+
+
+def _branched(op, inputs: dict):
+    """A case calling ``op`` on its tensors in the order they were declared.
+
+    The seeds below leave every input with a nonzero gradient (no branch
+    entirely dead).
+    """
+    names = list(inputs)
+    return Case(inputs, lambda t: weighted(op(*(t[name] for name in names))))
+
+
+CASES["branched_x"] = [
+    _branched(branched_x, _branched_inputs(2, 3, accels=False, seed=40)),
+    _branched(branched_x, _branched_inputs(1, 1, accels=False, seed=40)),  # B=1, H=1
+]
+CASES["branched_q"] = [
+    _branched(branched_q, _branched_inputs(2, 3, accels=True, seed=40)),
+    _branched(branched_q, _branched_inputs(1, 1, accels=True, seed=41)),  # B=1, H=1
+]
 
 ALL_CASES = [(op, index) for op, cases in sorted(CASES.items())
              for index in range(len(cases))]

@@ -13,6 +13,13 @@ reference, like the scalar engine oracle in ``tests/oracles/engine.py``:
   against the live engine to report the refactor's speedup in
   ``BENCH_nn.json``.
 
+It keeps the module-composed forwards of the BP-DQN networks
+(:func:`composed_branched_x`, :func:`composed_branched_q`): the chain of
+live ``linear``/``relu``/``concat``/``tanh`` tape ops that the fused
+``branched_x``/``branched_q`` nodes replaced;
+``tests/decision/test_fused_networks.py`` asserts the fused nodes
+reproduce their values and gradients bit for bit.
+
 It also keeps the per-parameter optimizer loops that the flat parameter
 store replaced (:class:`PerParameterSGD`, :class:`PerParameterAdam`,
 :func:`per_parameter_soft_update`): ``tests/nn/test_store_equivalence.py``
@@ -29,12 +36,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro import nn
+from repro.sim import constants
+
 __all__ = [
     "LegacyTensor", "legacy_concat",
     "unfused_lstm_cell", "unfused_lstm_sequence",
     "per_head_graph_attention", "legacy_graph_attention",
     "legacy_masked_mse", "legacy_lstgat_step",
     "PerParameterSGD", "PerParameterAdam", "per_parameter_soft_update",
+    "composed_branch", "composed_branched_x", "composed_branched_q",
 ]
 
 
@@ -553,3 +564,29 @@ def per_parameter_soft_update(own, source, tau: float) -> None:
     """The pre-store ``Module.soft_update_from`` over matched parameter lists."""
     for target, src in zip(own, source):
         target.data = tau * src.data + (1.0 - tau) * target.data
+
+
+# ----------------------------------------------------------------------
+# module-composed BP-DQN networks (pre-fusion)
+# ----------------------------------------------------------------------
+def composed_branch(encoder, rows: nn.Tensor) -> nn.Tensor:
+    """A ``BranchEncoder``'s forward as a tape chain: ``(B, N, k) -> (B, N)``."""
+    batch, vehicles = rows.shape[0], rows.shape[1]
+    hidden = encoder.lift(rows).relu()
+    return encoder.reduce(hidden).relu().reshape(batch, vehicles)
+
+
+def composed_branched_x(net, current: nn.Tensor, future: nn.Tensor) -> nn.Tensor:
+    """``BranchedXNetwork.forward`` (Eqs. 24-25) as a tape chain."""
+    h = composed_branch(net.current_branch, current)
+    f = composed_branch(net.future_branch, future)
+    return net.merge(nn.concat([h, f], axis=1)).tanh() * constants.A_MAX
+
+
+def composed_branched_q(net, current: nn.Tensor, future: nn.Tensor,
+                        accels: nn.Tensor) -> nn.Tensor:
+    """``BranchedQNetwork.forward`` (Eqs. 26-27) as a tape chain."""
+    h = composed_branch(net.current_branch, current)
+    f = composed_branch(net.future_branch, future)
+    x = net.accel_reduce(net.accel_lift(accels / constants.A_MAX).relu()).relu()
+    return net.merge(nn.concat([h, f, x], axis=1))

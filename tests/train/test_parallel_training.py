@@ -33,7 +33,8 @@ from repro.decision.trainer import train_agent
 from repro.faults.checkpoint import ScheduleMismatchError, check_schedule
 from repro.seeding import default_generator
 from repro.train import build_agent, build_env, train_agent_parallel
-from repro.train.parallel import ReorderBuffer
+from repro.train import parallel
+from repro.train.parallel import ReorderBuffer, StalePolicyError
 from repro.train.sync import policy_modules
 from repro.train.worker import EpisodeResult
 
@@ -216,6 +217,21 @@ def test_parallel_rollback_recovers_reproducibly(tmp_path):
     assert all(np.isfinite(r) for r in log.episode_rewards)
     rerun = fingerprint(*run_poisoned_parallel(tmp_path / "second"))
     assert fingerprint(log, agent) == rerun
+
+
+def test_a_result_under_another_policy_version_is_refused(monkeypatch):
+    publish = parallel._WorkerPool.publish
+
+    def publish_then_again(self, modules):
+        version = publish(self, modules)
+        # out of band, before the worker refreshes: it will hold a newer
+        # policy than the round was stamped with
+        self.policy.publish(modules)
+        return version
+
+    monkeypatch.setattr(parallel._WorkerPool, "publish", publish_then_again)
+    with pytest.raises(StalePolicyError, match="published as 1"):
+        run_parallel(1, episodes=1, sync_every=1)
 
 
 def test_check_schedule_rejects_serial_checkpoints():
