@@ -17,21 +17,27 @@ the machine actually has ≥4 CPU cores; on smaller hosts the numbers
 are still recorded but the gate is marked unenforced with the reason,
 rather than asserting physics the hardware cannot deliver.
 
+Each repeat runs every contender once, back to back
+(``_bench_io.interleaved_best``), and times its training loop (the
+log's ``wall_time``: no agent, env or worker set-up).  The ledger keeps
+each contender's best and, beside it, the spread of its repeats.
+
 Profiles (select with ``REPRO_BENCH_TRAIN_PROFILE``, default ``full``):
 
-- ``full``  -- 24 episodes x 24 steps, 2 timing repeats;
+- ``full``  -- 24 episodes x 24 steps, 5 interleaved timing repeats;
 - ``smoke`` -- 8 episodes x 16 steps, 1 repeat (CI).
 """
 
 import functools
 import hashlib
 import os
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _bench_io import write_bench
+from _bench_io import interleaved_best, write_bench
 from repro.core.config import HEADConfig
 from repro.decision.trainer import train_agent
 from repro.train import build_agent, build_env, train_agent_parallel
@@ -40,7 +46,7 @@ from repro.train.sync import policy_modules
 pytestmark = pytest.mark.perf
 
 PROFILES = {
-    "full": {"episodes": 24, "max_steps": 24, "repeats": 2},
+    "full": {"episodes": 24, "max_steps": 24, "repeats": 5},
     "smoke": {"episodes": 8, "max_steps": 16, "repeats": 1},
 }
 PROFILE_NAME = os.environ.get("REPRO_BENCH_TRAIN_PROFILE", "full")
@@ -98,14 +104,24 @@ def run_parallel(workers: int):
     return log, agent
 
 
-def throughput(log) -> dict:
-    steps = sum(log.episode_steps)
+def throughput(log, seconds: list[float]) -> dict:
+    """Rates at the best repeat, and the repeats' spread.
+
+    ``spread`` is the distance between the quartiles of the repeats'
+    seconds as a share of their median (null with fewer than 2).
+    """
+    steps, best = sum(log.episode_steps), min(seconds)
+    spread = None
+    if len(seconds) > 1:
+        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        spread = round((q3 - q1) / median, 4)
     return {
         "env_steps": steps,
-        "wall_seconds": round(log.wall_time, 4),
-        "env_steps_per_sec": round(steps / log.wall_time, 2),
-        "episodes_per_hour": round(len(log.episode_rewards)
-                                   / log.wall_time * 3600.0, 1),
+        "wall_seconds": round(best, 4),
+        "env_steps_per_sec": round(steps / best, 2),
+        "episodes_per_hour": round(len(log.episode_rewards) / best * 3600.0, 1),
+        "repeats": len(seconds),
+        "spread": spread,
     }
 
 
@@ -118,24 +134,29 @@ def test_train_throughput():
                  weights_digest(reference_agent))
     assert reference[0] is not None
 
-    # -- timing: best-of-repeats per contender -------------------------
-    serial_best, parallel_best = None, {}
-    for _ in range(PROFILE["repeats"]):
-        log, _agent = run_serial()
-        if serial_best is None or log.wall_time < serial_best.wall_time:
-            serial_best = log
-        for workers in WORKER_COUNTS:
-            log, agent = run_parallel(workers)
-            assert (log.transition_digest,
-                    weights_digest(agent)) == reference, (
-                f"workers={workers} broke the determinism contract")
-            held = parallel_best.get(workers)
-            if held is None or log.wall_time < held.wall_time:
-                parallel_best[workers] = log
+    # -- timing: interleaved best-of-repeats per contender -------------
+    logs = {}
 
-    serial = throughput(serial_best)
-    rates = {workers: throughput(log)
-             for workers, log in parallel_best.items()}
+    def serial_log():
+        logs["serial"] = run_serial()[0]
+        return logs["serial"]
+
+    def parallel(workers: int):
+        log, agent = run_parallel(workers)
+        assert (log.transition_digest, weights_digest(agent)) == reference, (
+            f"workers={workers} broke the determinism contract")
+        logs[workers] = log
+        return log
+
+    contenders = {"serial": serial_log,
+                  **{workers: functools.partial(parallel, workers)
+                     for workers in WORKER_COUNTS}}
+    samples: dict = {}
+    interleaved_best(contenders, PROFILE["repeats"], samples=samples,
+                     seconds_of=lambda log: log.wall_time)
+    serial = throughput(logs["serial"], samples["serial"])
+    rates = {workers: throughput(logs[workers], samples[workers])
+             for workers in WORKER_COUNTS}
     speedup = (rates[GATE_WORKERS]["env_steps_per_sec"]
                / serial["env_steps_per_sec"])
 

@@ -143,7 +143,8 @@ class _GradientBufferPool:
     store), so steady-state training reuses the same allocations step
     after step instead of churning the allocator.  Buffers are
     only pooled when whole (never views) and the per-shape depth is
-    capped so pathological shape diversity cannot hoard memory.
+    capped so pathological shape diversity cannot hoard memory.  Only
+    C-ordered buffers are pooled, and only for C-ordered values.
     """
 
     __slots__ = ("_free", "max_per_shape")
@@ -153,9 +154,14 @@ class _GradientBufferPool:
         self.max_per_shape = max_per_shape
 
     def take(self, value: np.ndarray) -> np.ndarray:
-        """Return a private float64 copy of ``value``, pooled if possible."""
+        """Return a private float64 copy of ``value``, pooled if possible.
+
+        The copy has ``value``'s memory order whether or not it is
+        pooled, so pool history never changes the layout a later BLAS
+        call sees (and with it the rounding of its sums).
+        """
         bucket = self._free.get(value.shape)
-        if bucket:
+        if bucket and value.flags.c_contiguous:
             buffer = bucket.pop()
             np.copyto(buffer, value)
             return buffer
@@ -164,7 +170,7 @@ class _GradientBufferPool:
     def release(self, buffer: np.ndarray) -> None:
         """Hand a no-longer-referenced buffer back for reuse."""
         if type(buffer) is not np.ndarray or buffer.base is not None \
-                or buffer.dtype != np.float64:
+                or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
             return
         bucket = self._free.setdefault(buffer.shape, [])
         if len(bucket) < self.max_per_shape:

@@ -134,24 +134,24 @@ class MicroBatcher:
         back in canonical ``request_id`` order.
         """
         raw: list[InferenceRequest] = []
-        try:
-            first = await asyncio.wait_for(self._queue.get(),
-                                           timeout=self.config.idle_poll)
-        except asyncio.TimeoutError:
-            return [], []
-        raw.append(first)
+        if self._queue.empty():
+            try:
+                raw.append(await asyncio.wait_for(self._queue.get(),
+                                                  timeout=self.config.idle_poll))
+            except asyncio.TimeoutError:
+                return [], []
 
         window_ends = self.clock() + self.config.batch_window
         while len(raw) < self.config.max_batch:
+            # Requests already queued are taken without a Task each; only
+            # an empty queue is awaited, and only while the window is open.
+            try:
+                raw.append(self._queue.get_nowait())
+                continue
+            except asyncio.QueueEmpty:
+                pass
             remaining = window_ends - self.clock()
             if remaining <= 0.0:
-                # Window closed: top up with whatever is already queued,
-                # but never wait for more.
-                while len(raw) < self.config.max_batch:
-                    try:
-                        raw.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
                 break
             try:
                 raw.append(await asyncio.wait_for(self._queue.get(),

@@ -20,6 +20,7 @@ from repro import nn
 from repro.nn import Tensor
 from repro.nn.recurrent import lstm_sequence, lstm_step
 from repro.decision.networks import branched_q, branched_x
+from repro.perception.lstgat import gat_attention
 
 EPS = 1e-6
 
@@ -298,6 +299,26 @@ CASES["branched_x"] = [
 CASES["branched_q"] = [
     _branched(branched_q, _branched_inputs(2, 3, accels=True, seed=40)),
     _branched(branched_q, _branched_inputs(1, 1, accels=True, seed=41)),  # B=1, H=1
+]
+
+
+def _gat_case(z: int, n: int, heads: int, head_dim: int, slope: float,
+              seed: int) -> Case:
+    """A ``gat_attention`` case; no slot is padding (a zero slot's mask
+    would flip under the finite-difference step)."""
+    hidden = heads * head_dim
+    shapes = {"targets": (z, n, 4), "contributors": (z, n, 7, 4),
+              "phi1": (hidden, 4), "attn_src": (heads, head_dim),
+              "attn_dst": (heads, head_dim), "phi3": (hidden, 8)}
+    inputs = {name: _arr(shape, seed=seed + index)
+              for index, (name, shape) in enumerate(shapes.items())}
+    return Case(inputs, lambda t: weighted(gat_attention(
+        *(t[name] for name in shapes), negative_slope=slope)))
+
+
+CASES["gat_attention"] = [
+    _gat_case(2, 3, heads=2, head_dim=3, slope=0.2, seed=50),
+    _gat_case(1, 1, heads=1, head_dim=1, slope=0.7, seed=51),   # z=1, n=1, K=1
 ]
 
 ALL_CASES = [(op, index) for op, cases in sorted(CASES.items())

@@ -10,7 +10,9 @@ engine must uphold for *any* input:
   ``RuntimeError`` (the PR 3 sanitizer ``tape-leak`` check, now
   enforced unconditionally by the engine itself);
 - gradient values are deterministic across the buffer pool's reuse of
-  freed gradient storage.
+  freed gradient storage, and a pooled copy keeps the memory order of
+  the value it copies (BLAS rounds differently on a transposed layout,
+  so pool history must not choose the layout).
 """
 
 import numpy as np
@@ -113,6 +115,18 @@ def test_gradients_deterministic_across_pool_reuse(seed):
         again_x, again_w = run()
         assert np.array_equal(first_x, again_x)
         assert np.array_equal(first_w, again_w)
+
+
+def test_a_pooled_copy_keeps_the_value_memory_order():
+    from repro.nn.tensor import _POOL
+
+    _POOL.release(np.zeros((3, 5)))              # a C-ordered buffer waits
+    value = np.arange(15.0).reshape(5, 3).T      # (3, 5), Fortran order
+    copy = _POOL.take(value)
+    assert np.array_equal(copy, value)
+    assert copy.strides == value.strides and copy.base is None
+    _POOL.release(np.asfortranarray(np.ones((3, 5))))
+    assert all(buffer.flags.c_contiguous for buffer in _POOL._free[(3, 5)])
 
 
 def test_no_grad_produces_leaf_outputs():

@@ -20,6 +20,13 @@ live ``linear``/``relu``/``concat``/``tanh`` tape ops that the fused
 ``tests/decision/test_fused_networks.py`` asserts the fused nodes
 reproduce their values and gradients bit for bit.
 
+It keeps the module-composed graph attention forward
+(:func:`composed_gat_attention`, :func:`composed_attention_weights`):
+the chain of live ``einsum``/``leaky_relu``/``softmax``/``concat`` tape
+ops that the fused ``gat_attention`` node replaced;
+``tests/perception/test_fused_attention.py`` asserts the fused node
+reproduces its values and gradients bit for bit.
+
 It also keeps the per-parameter optimizer loops that the flat parameter
 store replaced (:class:`PerParameterSGD`, :class:`PerParameterAdam`,
 :func:`per_parameter_soft_update`): ``tests/nn/test_store_equivalence.py``
@@ -46,6 +53,7 @@ __all__ = [
     "legacy_masked_mse", "legacy_lstgat_step",
     "PerParameterSGD", "PerParameterAdam", "per_parameter_soft_update",
     "composed_branch", "composed_branched_x", "composed_branched_q",
+    "composed_attention_weights", "composed_gat_attention",
 ]
 
 
@@ -590,3 +598,38 @@ def composed_branched_q(net, current: nn.Tensor, future: nn.Tensor,
     f = composed_branch(net.future_branch, future)
     x = net.accel_reduce(net.accel_lift(accels / constants.A_MAX).relu()).relu()
     return net.merge(nn.concat([h, f, x], axis=1))
+
+
+# ----------------------------------------------------------------------
+# module-composed graph attention (pre-fusion)
+# ----------------------------------------------------------------------
+def composed_attention_weights(layer, targets: nn.Tensor,
+                               contributors: nn.Tensor) -> nn.Tensor:
+    """``GraphAttention``'s Eq. 10 weights ``(z, n, 7, K)`` as a tape chain."""
+    z, n = targets.shape[0], targets.shape[1]
+    phi1_heads = layer.phi1.reshape(layer.num_heads, layer.head_dim, -1)
+    fold_src = nn.einsum("kd,kdf->kf", layer.attn_src, phi1_heads)
+    fold_dst = nn.einsum("kd,kdf->kf", layer.attn_dst, phi1_heads)
+    score_target = nn.einsum("znf,kf->znk", targets, fold_src)
+    score_contrib = nn.einsum("zncf,kf->znck", contributors, fold_dst)
+    scores = score_target.reshape(z, n, 1, layer.num_heads) + score_contrib
+    scores = scores.leaky_relu(layer.negative_slope)
+    padding = (np.abs(contributors.data).sum(axis=-1) == 0.0)
+    if padding.any():
+        scores = scores + nn.Tensor(
+            np.where(padding, -1e9, 0.0)[:, :, :, None])
+    return scores.softmax(axis=2)
+
+
+def composed_gat_attention(layer, targets: nn.Tensor,
+                           contributors: nn.Tensor) -> nn.Tensor:
+    """``GraphAttention.forward`` (Eqs. 10-11) as a tape chain."""
+    z, n = targets.shape[0], targets.shape[1]
+    alpha = composed_attention_weights(layer, targets, contributors)
+    target_rows = targets.reshape(z, n, 1, targets.shape[-1])
+    edges = contributors - target_rows
+    phi3_heads = layer.phi3.reshape(layer.num_heads, layer.head_dim, -1)
+    mixed = nn.einsum("znck,zncf->znkf",
+                      alpha, nn.concat([contributors, edges], axis=3))
+    weighted = nn.einsum("znkf,kdf->znkd", mixed, phi3_heads)
+    return weighted.reshape(z, n, layer.hidden_dim)

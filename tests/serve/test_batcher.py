@@ -103,3 +103,27 @@ def test_retry_after_scales_with_backlog():
         assert batcher.retry_after() > empty_hint
 
     asyncio.run(scenario())
+
+
+def test_queued_requests_are_taken_without_a_wait_each(monkeypatch):
+    """A full queue costs at most one ``wait_for`` (the window's last wait)."""
+    entered = []
+    wait_for = asyncio.wait_for
+
+    def counted(awaitable, timeout):
+        entered.append(timeout)
+        return wait_for(awaitable, timeout)
+
+    monkeypatch.setattr(asyncio, "wait_for", counted)
+
+    async def scenario():
+        batcher = MicroBatcher(BatcherConfig(max_batch=32, batch_window=0.01))
+        rids = [f"r{index:02d}" for index in range(16)]
+        for rid in reversed(rids):
+            batcher.offer(request(rid))
+        live, expired = await batcher.next_batch()
+        assert [r.request_id for r in live] == rids and not expired
+        assert batcher.depth() == 0
+
+    asyncio.run(scenario())
+    assert len(entered) <= 1
