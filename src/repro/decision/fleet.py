@@ -270,8 +270,7 @@ class FleetEnv:
         done = self.done()
         next_states: dict[str, AugmentedState] = {}
         if not done:
-            for vid in crashed:
-                engine.discard_vehicle(vid)
+            engine.discard_vehicles(crashed)
             next_states = self._perceive_active()
         return next_states, breakdowns, done, records
 

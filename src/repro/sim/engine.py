@@ -22,7 +22,10 @@ past states are kept; perception keeps its own sensed tracks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
+
 import numpy as np
 
 from . import constants
@@ -38,6 +41,9 @@ __all__ = ["CollisionEvent", "SimulationEngine", "Maneuver"]
 #: Lane-change cooldown for conventional vehicles (steps); 2 s, keeps
 #: MOBIL from oscillating between lanes, similar to SUMO's LC holddown.
 LANE_CHANGE_COOLDOWN = 4
+
+#: Sort key of a row handle: rows are sorted by vehicle id.
+_vid = attrgetter("vid")
 
 #: Shared one-element 0.0 pad: appended to value arrays so gathering
 #: with a -1 neighbor index yields the masked-branch substitute value.
@@ -164,41 +170,57 @@ class SimulationEngine:
         if len(vids) != len(rows.lon):
             raise ValueError(f"{len(vids)} ids for {len(rows.lon)} rows")
         handles = [object.__new__(Vehicle) for _ in vids]
-        for row, (handle, vid) in enumerate(zip(handles, vids)):
-            handle.vid, handle.finish_time, handle._table, handle._row = vid, None, rows, row
+        for handle, vid in zip(handles, vids):
+            handle.vid, handle.finish_time = vid, None
         self._adopt(handles, rows)
         return handles
 
     def _adopt(self, handles: list[Vehicle], rows: VehicleColumns) -> None:
-        """Merge ``rows`` (row k behind ``handles[k]``) into the columns."""
+        """Merge ``rows`` (row k behind ``handles[k]``) into the columns.
+
+        Only the batch is sorted; each new id is bisected into the rows,
+        which are already sorted, and the handles are renumbered from the
+        first row that moved.
+        """
         vids = [handle.vid for handle in handles]
-        seen = set(self.vehicles)
+        seen: set[str] = set()
         for vid in vids:
-            if vid in seen:
+            if vid in seen or vid in self.vehicles:
                 raise ValueError(f"duplicate vehicle id {vid!r}")
             seen.add(vid)
         invalid = np.flatnonzero((rows.lane < 1) | (rows.lane > self.road.num_lanes))
         if invalid.size:
             raise ValueError(f"vehicle {vids[invalid[0]]!r} placed on invalid "
                              f"lane {rows.lane[invalid[0]]}")
-        existing = len(self._rows)
-        merged = self.columns.concat(rows)
-        merged.spawn_time[existing:] = self.step_count
-        merged.arrival[existing:] = self._arrivals + np.arange(len(handles))
-        self._arrivals += len(handles)
-        everyone = self._rows + handles
-        ids = [handle.vid for handle in self._rows] + vids
-        order = sorted(range(len(everyone)), key=ids.__getitem__)
-        self.columns.assign(merged.take(np.array(order, dtype=np.int64)))
-        self._rows = [everyone[row] for row in order]
-        self._renumber()
-        for handle in handles:
-            self.vehicles[handle.vid] = handle
+        if not handles:
+            return
+        batch_order = sorted(range(len(vids)), key=vids.__getitem__)
+        taken = np.array(batch_order)
+        batch = rows.take(taken)
+        batch.spawn_time[:] = self.step_count
+        batch.arrival[:] = taken + self._arrivals
+        self._arrivals += len(vids)
+        table, ordered = self.columns, [handles[k] for k in batch_order]
+        if self._rows:
+            at = [bisect_left(self._rows, handle.vid, key=_vid) for handle in ordered]
+            table.assign(table.merge(at, batch))
+            for row, handle in zip(reversed(at), reversed(ordered)):
+                handle._table = table
+                self._rows.insert(row, handle)
+            self._renumber(at[0])
+        else:
+            table.assign(batch)
+            self._rows = ordered
+            for row, handle in enumerate(ordered):
+                handle._table, handle._row = table, row
+        self.vehicles.update(zip(vids, handles))
 
     def remove_vehicle(self, vid: str) -> None:
-        """Retire a vehicle (e.g. it finished the road)."""
-        for vehicle in self._remove_id(vid):
-            self.retired[vid] = vehicle
+        """Retire a vehicle (e.g. it finished the road).
+
+        Raises ``KeyError`` when ``vid`` is not a live vehicle.
+        """
+        (self.retired[vid],) = self.discard_vehicles([vid])
 
     def discard_vehicle(self, vid: str) -> None:
         """Drop a vehicle from the world without marking it retired.
@@ -206,32 +228,46 @@ class SimulationEngine:
         ``retired`` means "finished the road" to the reward/outcome
         code, so taking a crashed fleet AV out of the simulation must
         not go through :meth:`remove_vehicle`.  The handle keeps a
-        read-only copy of its final state.
+        read-only copy of its final state.  Raises ``KeyError`` when
+        ``vid`` is not a live vehicle.
         """
-        self._remove_id(vid)
+        self.discard_vehicles([vid])
 
-    def _remove_id(self, vid: str) -> list[Vehicle]:
-        row = self.vehicles[vid]._row if vid in self.vehicles else -1
-        return self._remove(np.arange(len(self._rows)) != row)
+    def discard_vehicles(self, vids: list[str]) -> list[Vehicle]:
+        """:meth:`discard_vehicle` for several ids, in one compaction;
+        returns their handles in row order."""
+        if not vids:
+            return []
+        rows = set()
+        for vid in vids:
+            vehicle = self.vehicles.get(vid)
+            if vehicle is None:
+                raise KeyError(f"no live vehicle {vid!r}")
+            rows.add(vehicle._row)
+        return self._remove(sorted(rows))
 
-    def _remove(self, keep: np.ndarray) -> list[Vehicle]:
-        """Drop the rows where ``keep`` is False; return their handles
-        (in row order), detached onto a read-only copy of their rows."""
-        gone = [self._rows[row] for row in np.flatnonzero(~keep).tolist()]
-        final = self.columns.take(~keep).freeze()
-        for row, vehicle in enumerate(gone):
+    def _remove(self, rows: list[int]) -> list[Vehicle]:
+        """Drop the given rows (ascending); return their handles, detached
+        onto a read-only copy of those rows only.
+
+        The live columns are compacted in one copy, and only the handles
+        behind the first dropped row are renumbered.
+        """
+        kept, final = self.columns.split(rows)
+        self.columns.assign(kept)
+        handles = self._rows
+        detached = [handles[row] for row in rows]
+        for row, vehicle in enumerate(detached):
             vehicle._table, vehicle._row = final, row
             del self.vehicles[vehicle.vid]
-        self.columns.assign(self.columns.take(keep))
-        self._rows = [vehicle for vehicle, kept in zip(self._rows, keep.tolist())
-                      if kept]
-        self._renumber()
-        return gone
+        for row in reversed(rows):
+            del handles[row]
+        self._renumber(rows[0])
+        return detached
 
-    def _renumber(self) -> None:
-        table = self.columns
-        for row, vehicle in enumerate(self._rows):
-            vehicle._table = table
+    def _renumber(self, start: int) -> None:
+        """Renumber the handles of rows ``start`` onward."""
+        for row, vehicle in enumerate(self._rows[start:], start):
             vehicle._row = row
 
     def arrival_order(self) -> np.ndarray:
@@ -551,12 +587,12 @@ class SimulationEngine:
                            self.road.v_max)
         new_lon = lon + v * constants.DT + accel * _HALF_DT_SQ
 
-        table.prev_accel = table.accel
-        table.accel = accel
-        table.lane = target
-        table.lon = new_lon
-        table.v = new_v
-        table.cooldown = cooldown
+        table.prev_accel[:] = table.accel
+        table.accel[:] = accel
+        table.lane[:] = target
+        table.lon[:] = new_lon
+        table.v[:] = new_v
+        table.cooldown[:] = cooldown
 
         # Crash detection on the advanced state: consecutive same-lane
         # pairs, lanes ascending then positions ascending.
@@ -576,7 +612,7 @@ class SimulationEngine:
 
         finished = new_lon >= self.road.length
         if finished.any():
-            for vehicle in self._remove(~finished):
+            for vehicle in self._remove(np.flatnonzero(finished).tolist()):
                 vehicle.finish_time = self.step_count + 1
                 self.retired[vehicle.vid] = vehicle
         table.index = None

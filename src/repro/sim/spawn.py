@@ -108,7 +108,8 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
     A lane's slots come out in increasing longitude (the jitter is under
     half the spacing), so a candidate can only overlap the vehicle last
     placed in its lane; raises ``ValueError`` on a populated engine,
-    whose vehicles this placement would not see.
+    whose vehicles this placement would not see.  The engine adopts
+    every lane's vehicles in one batch.
     """
     if engine.vehicles:
         raise ValueError("populate_traffic needs an empty engine")
@@ -118,7 +119,8 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
     spacing = road.length / per_lane
     min_space = constants.VEHICLE_LENGTH + 1.0
     top = road.length - 1.0
-    created: list[Vehicle] = []
+    lanes: list[int] = []
+    spawned: list[np.ndarray] = []   # per lane: lon, speed, profile
     for lane in range(1, road.num_lanes + 1):
         offset = rng.uniform(0.0, spacing)
         first, stop = _window_slots(offset, spacing, per_lane, top, keep_clear)
@@ -146,10 +148,13 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
                 continue
             placed.append(slot)
             previous = lon_next
-        created += engine.add_vehicles(
-            [f"cv{len(created) + index}" for index in range(len(placed))],
-            VehicleColumns(ProfileArrays(*values[placed, _PROFILE].T),
-                           lane=lane, lon=lon[placed], v=velocity[placed]))
+        lanes += [lane] * len(placed)
+        spawned.append(np.column_stack((lon, velocity, values[:, _PROFILE]))[placed])
+    block = np.concatenate(spawned)
+    created = engine.add_vehicles(
+        [f"cv{index}" for index in range(len(lanes))],
+        VehicleColumns(ProfileArrays(*block[:, 2:].T), lane=lanes,
+                       lon=block[:, 0], v=block[:, 1]))
     _equilibrate_speeds(engine)
     return created
 
@@ -270,8 +275,7 @@ def insert_autonomous_fleet(engine: SimulationEngine, rng: np.random.Generator,
         near = np.flatnonzero((columns.lane == lane) & ~columns.is_autonomous
                               & (np.abs(columns.lon - lon) <= SPAWN_CLEARANCE))
         rows = engine.active_vehicles()
-        for row in near.tolist():
-            engine.discard_vehicle(rows[row].vid)
+        engine.discard_vehicles([rows[row].vid for row in near.tolist()])
         fleet.append(engine.add_vehicle(Vehicle(
             vid=vids[index],
             state=VehicleState(lat=lane, lon=lon, v=velocity),

@@ -103,29 +103,25 @@ class ProfileArrays:
                 self.max_accel, self.comfort_decel, self.politeness,
                 self.lane_change_threshold, self.imperfection]
 
-    def take(self, indices: np.ndarray) -> "ProfileArrays":
-        """Row-gather every column (numpy fancy-indexing semantics)."""
-        return ProfileArrays(*(column[indices] for column in self.columns()))
-
     def view(self, rows: np.ndarray) -> "ProfileView":
         """Lazy row-gather: columns materialize on first access.
 
         Car-following models touch only a subset of the parameters, so a
-        lazy view skips the unused gathers that :meth:`take` would pay
-        for.  Gathering a column after an elementwise op yields the same
-        bits as the op after the gather, so derived columns stay
-        bit-identical too.
+        lazy view skips the unused gathers of a full row-gather.
+        Gathering a column after an elementwise op yields the same bits
+        as the op after the gather, so derived columns stay bit-identical
+        too.
         """
         return ProfileView(self, rows)
 
     # Derived columns the models would otherwise recompute per step.
     # These are pure hoists -- the same operations on the same inputs as
     # the scalar formulas, evaluated once per instance -- so the
-    # bit-identity guarantee is unaffected.  A profile write swaps in a
-    # fresh instance over the written columns (see Vehicle.profile), so
-    # no derived column computed before a write is read after it.
-    # (cached_property stores into the instance dict, which a frozen
-    # dataclass permits.)
+    # bit-identity guarantee is unaffected.  A VehicleColumns stores the
+    # array-valued ones next to the base columns and fills them into its
+    # instance, so a row gather carries them; a profile write recomputes
+    # the written row's (see Vehicle.profile).  (cached_property stores
+    # into the instance dict, which a frozen dataclass permits.)
 
     @cached_property
     def max_accel_step(self) -> np.ndarray:
@@ -186,71 +182,125 @@ class ProfileView:
         return column
 
 
-#: Per-vehicle columns besides the profile: name -> (dtype, default).
+#: Per-vehicle columns besides the profile, with their defaults.
 #: ``arrival`` numbers vehicles in the order the engine added them.
-_COLUMNS = {
-    "lane": (np.int64, 0),
-    "lon": (np.float64, 0.0),
-    "v": (np.float64, 0.0),
-    "accel": (np.float64, 0.0),
-    "prev_accel": (np.float64, 0.0),
-    "cooldown": (np.int64, 0),
-    "length": (np.float64, constants.VEHICLE_LENGTH),
-    "is_autonomous": (bool, False),
-    "spawn_time": (np.int64, 0),
-    "arrival": (np.int64, 0),
-}
+_COLUMNS = {"lane": 0, "lon": 0.0, "v": 0.0, "accel": 0.0, "prev_accel": 0.0,
+            "cooldown": 0, "length": constants.VEHICLE_LENGTH,
+            "is_autonomous": False, "spawn_time": 0, "arrival": 0}
+
+_PROFILE = tuple(field.name for field in fields(ProfileArrays))
+
+#: A table's storage: one 2-D block per dtype, whose first axis is the
+#: field (each column array is one line of a block) and whose second is
+#: the row.  The profile's array-valued derived columns ride along.
+_BLOCKS = (
+    (np.float64, ("lon", "v", "accel", "prev_accel", "length", *_PROFILE,
+                  "max_accel_step", "twice_comfort_decel", "half_max_accel",
+                  "min_gap_floor", "desired_speed_floor",
+                  "twice_sqrt_accel_decel")),
+    (np.int64, ("lane", "cooldown", "spawn_time", "arrival")),
+    (np.bool_, ("is_autonomous", "imperfect")),
+)
+_WHERE = {name: (block, line) for block, (_, names) in enumerate(_BLOCKS)
+          for line, name in enumerate(names)}
+_DERIVED = tuple(name for name in _WHERE if name not in _COLUMNS
+                 and name not in _PROFILE)
+_BASE = slice(_WHERE[_PROFILE[0]][1], _WHERE[_PROFILE[-1]][1] + 1)
 
 
 class VehicleColumns:
     """A population of vehicles as columns, one row per vehicle.
 
-    Every field of ``_COLUMNS`` is one numpy array, and ``profiles``
-    holds the driver parameters; a column not given takes its default
-    in every row.  ``index`` is the lane index over the current rows
-    (kept by the engine) or None when a position or the population
-    changed since it was built.
+    Each field of ``_COLUMNS`` is one numpy array (a column not given
+    takes its default in every row), and ``profiles`` holds the driver
+    parameters with the derived columns of ``_DERIVED`` already filled
+    in.  All of them are lines of one 2-D block per dtype (``_BLOCKS``),
+    so gathering, merging or compacting rows is one numpy call per
+    block; the column arrays are views of the blocks, made on first
+    access.  ``index`` is the lane index over the current rows (kept by
+    the engine) or None when a position or the population changed since
+    it was built.
     """
-
-    __slots__ = (*_COLUMNS, "profiles", "index")
 
     def __init__(self, profiles: ProfileArrays, **columns) -> None:
         count = len(profiles.desired_speed)
-        for name, (dtype, default) in _COLUMNS.items():
-            column = np.empty(count, dtype=dtype)
-            column[:] = columns.pop(name, default)
-            setattr(self, name, column)
+        self._blocks = tuple(np.empty((len(names), count), dtype)
+                             for dtype, names in _BLOCKS)
+        self.index = None
+        for name, default in _COLUMNS.items():
+            getattr(self, name)[:] = columns.pop(name, default)
         if columns:
             raise TypeError(f"unknown vehicle columns: {sorted(columns)}")
-        self.profiles = profiles
-        self.index = None
+        self._blocks[0][_BASE] = profiles.columns()
+        self.derive(slice(None))
+
+    def __getattr__(self, name: str):
+        # Column views and the profile arrays are made on first access.
+        if name == "profiles":
+            value = ProfileArrays(*self._blocks[0][_BASE])
+            value.__dict__.update((derived, self._view(derived))
+                                  for derived in _DERIVED)
+        elif name in _COLUMNS:
+            value = self._view(name)
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def __getstate__(self) -> dict:
+        # A copy keeps the blocks only; its views are made anew, so they
+        # see the copied blocks.
+        return {"_blocks": self._blocks, "index": self.index}
+
+    def _view(self, name: str) -> np.ndarray:
+        block, line = _WHERE[name]
+        return self._blocks[block][line]
+
+    @classmethod
+    def _over(cls, blocks) -> "VehicleColumns":
+        """An instance holding ``blocks`` as they are."""
+        table = object.__new__(cls)
+        table.__dict__.update(_blocks=tuple(blocks), index=None)
+        return table
+
+    def derive(self, rows: slice) -> None:
+        """Recompute the derived profile columns of ``rows`` from the base ones."""
+        base = ProfileArrays(*self._blocks[0][_BASE, rows])
+        for name in _DERIVED:
+            self._view(name)[rows] = getattr(base, name)
+        self.__dict__.pop("profiles", None)   # fully_imperfect may change
 
     def take(self, rows) -> "VehicleColumns":
-        """A copy of the given rows (numpy fancy-indexing semantics)."""
-        return VehicleColumns(self.profiles.take(rows), **{
-            name: getattr(self, name)[rows] for name in _COLUMNS})
+        """A copy of the given rows (integer row indices)."""
+        return VehicleColumns._over(block.take(rows, axis=1)
+                                    for block in self._blocks)
 
-    def concat(self, other: "VehicleColumns") -> "VehicleColumns":
-        """These rows followed by ``other``'s, as a new instance."""
-        return VehicleColumns(
-            ProfileArrays(*map(np.concatenate, zip(self.profiles.columns(),
-                                                   other.profiles.columns()))),
-            **{name: np.concatenate((getattr(self, name), getattr(other, name)))
-               for name in _COLUMNS})
+    def merge(self, at: list[int], other: "VehicleColumns") -> "VehicleColumns":
+        """These rows with ``other``'s row k put before row ``at[k]`` (``at``
+        nondecreasing), as a new instance copied span by span.  (After the
+        last span, ``theirs[:, k:k + 1]`` is empty.)"""
+        spans = list(enumerate(zip([0, *at], [*at, self._blocks[0].shape[1]])))
+        return VehicleColumns._over(
+            np.concatenate([piece for k, (start, stop) in spans
+                            for piece in (mine[:, start:stop], theirs[:, k:k + 1])],
+                           axis=1)
+            for mine, theirs in zip(self._blocks, other._blocks))
+
+    def split(self, rows: list[int]) -> tuple["VehicleColumns", "VehicleColumns"]:
+        """All rows but ``rows`` (ascending), copied span by span, and a
+        read-only copy of ``rows``."""
+        spans = [slice(start + 1, stop) for start, stop
+                 in zip([-1, *rows], [*rows, self._blocks[0].shape[1]])]
+        kept, gone = [], []
+        for block in self._blocks:
+            kept.append(np.concatenate([block[:, span] for span in spans], axis=1))
+            gone.append(block.take(rows, axis=1))
+            gone[-1].setflags(write=False)
+        return VehicleColumns._over(kept), VehicleColumns._over(gone)
 
     def assign(self, other: "VehicleColumns") -> None:
         """Take over ``other``'s rows in place; the lane index goes stale."""
-        for name in _COLUMNS:
-            setattr(self, name, getattr(other, name))
-        self.profiles = other.profiles
-        self.index = None
-
-    def freeze(self) -> "VehicleColumns":
-        """Make every column read-only; returns ``self``."""
-        for column in [*(getattr(self, name) for name in _COLUMNS),
-                       *self.profiles.columns()]:
-            column.flags.writeable = False
-        return self
+        self.__dict__ = {"_blocks": other._blocks, "index": None}
 
 
 def _column(name: str, doc: str, writable: bool = True) -> property:
@@ -326,13 +376,10 @@ class Vehicle:
 
     @profile.setter
     def profile(self, profile: DriverProfile) -> None:
-        # The columns change in place under a fresh ProfileArrays, so no
-        # derived column outlives the write.
-        table = self._table
-        columns = table.profiles.columns()
-        for column, value in zip(columns, astuple(profile)):
-            column[self._row] = value
-        table.profiles = ProfileArrays(*columns)
+        table, row = self._table, self._row
+        for column, value in zip(table.profiles.columns(), astuple(profile)):
+            column[row] = value
+        table.derive(slice(row, row + 1))
 
     @property
     def rear(self) -> float:

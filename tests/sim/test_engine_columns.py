@@ -15,11 +15,13 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.trajectories import _advance_slowdowns
 from repro.sim import IDM, Krauss, build_episode, constants
 from repro.sim.engine import SimulationEngine
 from repro.sim.road import Road
+from repro.sim.traci import TraCI
 from repro.sim.vehicle import (DriverProfile, ProfileArrays, Vehicle, VehicleColumns,
                                VehicleState)
 
@@ -196,3 +198,131 @@ def test_batch_add_checks_its_rows():
         engine.add_vehicles(["a", "a"], two)
     assert not engine.vehicles and len(engine.columns.lon) == 0
     engine.step()
+
+
+def test_removing_an_id_that_is_not_live_raises():
+    engine, _ = build_episode(2, road=Road(length=300.0), density_per_km=100)
+    traci = TraCI(engine)
+    rows = len(engine.columns.lon)
+    for remove in (engine.remove_vehicle, engine.discard_vehicle,
+                   traci.vehicle.remove):
+        with pytest.raises(KeyError, match="nope"):
+            remove("nope")
+    engine.remove_vehicle("av")
+    for remove in (engine.remove_vehicle, engine.discard_vehicle):
+        with pytest.raises(KeyError, match="'av'"):
+            remove("av")
+    with pytest.raises(KeyError, match="nope"):
+        engine.discard_vehicles(["cv0", "nope"])
+    assert "cv0" in engine.vehicles
+    assert len(engine.columns.lon) == rows - 1
+    assert list(engine.retired) == ["av"]
+
+
+#: Vehicle ids are a letter plus a running number, so new ids land
+#: before, between and after the rows already present.
+ADD = st.tuples(st.sampled_from("abc"), st.integers(1, 3),
+                st.sampled_from([0.0, 12.0, 30.0, 30.0, 75.0, 150.0, 190.0]),
+                st.sampled_from([2.0, 9.0, 20.0]))
+POPULATION_OP = st.one_of(
+    st.tuples(st.just("add_vehicles"), st.lists(ADD, max_size=4)),
+    st.tuples(st.just("add_vehicle"), ADD),
+    st.tuples(st.just("remove_vehicle"), st.integers(0, 30)),
+    st.tuples(st.just("discard_vehicle"), st.integers(0, 30)),
+    st.tuples(st.just("profile"), st.tuples(st.integers(0, 30),
+                                            st.sampled_from([0.0, 0.1]))),
+    st.tuples(st.just("step"), st.none()),
+)
+
+
+def touch_derived(engine):
+    """Compute every derived profile column, so a population change has
+    to carry them through its row copy."""
+    for name in PROFILE_COLUMNS:
+        getattr(engine.columns.profiles, name)
+
+
+def assert_handles_read_their_rows(engine):
+    table = engine.columns
+    rows = engine.active_vehicles()
+    assert len(table.lon) == len(rows) == len(engine.vehicles)
+    for row, vehicle in enumerate(rows):
+        assert engine.vehicles[vehicle.vid] is vehicle
+        assert vehicle.state == VehicleState(table.lane[row].item(),
+                                             table.lon[row].item(),
+                                             table.v[row].item())
+        assert (vehicle.accel, vehicle.cooldown) == (table.accel[row],
+                                                     table.cooldown[row])
+        assert vehicle.profile == DriverProfile(*[
+            column[row].item() for column in table.profiles.columns()])
+    assert [rows[row].vid for row in engine.arrival_order()] \
+        == list(engine.vehicles)
+
+
+def final_state(vehicle):
+    return (vehicle.state, vehicle.accel, vehicle.prev_accel, vehicle.cooldown,
+            vehicle.profile, vehicle.finish_time)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations=st.lists(POPULATION_OP, min_size=1, max_size=25))
+def test_population_changes_match_a_fresh_engine(operations):
+    """Interleaved adds, removals, discards, profile writes and steps keep
+    the rows sorted by id, every handle on its own row, the arrival
+    order, the derived profile columns and the final state of every
+    detached handle exactly as a fresh engine over the same world has
+    them."""
+    engine = SimulationEngine(road=Road(length=200.0, num_lanes=3),
+                              rng=np.random.default_rng(5))
+    detached: dict[str, tuple] = {}
+    handles = {}
+    added = 0
+
+    def build(spec):
+        nonlocal added
+        letter, lane, lon, speed = spec
+        added += 1
+        profile = DriverProfile(desired_speed=15.0 + speed,
+                                imperfection=0.0 if added % 3 else 0.1)
+        return f"{letter}{added}", Vehicle(f"{letter}{added}",
+                                           VehicleState(lane, lon, speed),
+                                           profile=profile)
+
+    for kind, argument in operations:
+        touch_derived(engine)
+        live = list(engine.vehicles)
+        if kind == "add_vehicles":
+            built = [build(spec) for spec in argument]
+            rows = VehicleColumns(
+                ProfileArrays.from_profiles([vehicle.profile for _, vehicle in built]),
+                lane=[vehicle.lane for _, vehicle in built],
+                lon=[vehicle.lon for _, vehicle in built],
+                v=[vehicle.v for _, vehicle in built])
+            for handle in engine.add_vehicles([vid for vid, _ in built], rows):
+                handles[handle.vid] = handle
+        elif kind == "add_vehicle":
+            vid, vehicle = build(argument)
+            handles[vid] = engine.add_vehicle(vehicle)
+        elif kind == "step":
+            fresh = rebuilt(engine)
+            touch_derived(fresh)
+            step_both(engine, fresh)
+        elif kind == "profile" and live:
+            index, imperfection = argument
+            vehicle = engine.vehicles[live[index % len(live)]]
+            vehicle.profile = replace(vehicle.profile, imperfection=imperfection,
+                                      max_accel=1.0 + imperfection)
+        elif live:
+            vid = live[argument % len(live)]
+            getattr(engine, kind)(vid)
+        for vid in handles.keys() - engine.vehicles.keys() - detached.keys():
+            detached[vid] = final_state(handles[vid])
+        assert_same_world(engine, rebuilt(engine))
+        assert_handles_read_their_rows(engine)
+        for vid, expected in detached.items():
+            vehicle = handles[vid]
+            assert final_state(vehicle) == expected, vid
+            with pytest.raises(ValueError, match="read-only"):
+                vehicle.cooldown = 3
+            with pytest.raises(ValueError, match="read-only"):
+                vehicle.profile = replace(vehicle.profile, min_gap=9.0)
