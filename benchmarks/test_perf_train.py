@@ -66,7 +66,7 @@ def bench_config() -> HEADConfig:
         road_length=400.0, density_per_km=100.0,
         max_episode_steps=PROFILE["max_steps"], attention_dim=16,
         lstm_dim=16, hidden_dim=16, replay_capacity=512)
-    return replace(config, use_prediction=False, use_guard=False)
+    return replace(config, use_prediction=False)
 
 
 def make_agent(config: HEADConfig):

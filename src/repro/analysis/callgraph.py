@@ -7,8 +7,8 @@ This is the substrate of reprolint's whole-program pass
   ``repro.serve.server``; entry scripts without a package become
   top-level modules named after their stem);
 * per-module **import bindings** (``import numpy as np`` ->
-  ``np -> numpy``; ``from .types import next_request_id`` ->
-  ``next_request_id -> repro.serve.types.next_request_id``), including
+  ``np -> numpy``; ``from .types import BatchStats`` ->
+  ``BatchStats -> repro.serve.types.BatchStats``), including
   relative imports;
 * a catalogue of every function/method/nested def with a stable
   qualified name (``repro.serve.server.InferenceServer.submit``); and

@@ -33,9 +33,6 @@ class HEADConfig:
     lstm_dim: int = 64
     use_phantoms: bool = True
     use_prediction: bool = True
-    #: Wrap the predictor in a PerceptionGuard (NaN/envelope fallback).
-    #: Bit-transparent while predictions are healthy, so the default is on.
-    use_guard: bool = True
     perception_epochs: int = 15
     perception_batch_size: int = 64
     perception_lr: float = 1e-3

@@ -62,10 +62,10 @@ class HEAD(object):
         # training (:meth:`train_perception`) keeps optimizing the raw
         # module directly.
         self.guard: PerceptionGuard | None = None
-        if self.predictor is not None and cfg.use_guard:
+        if self.predictor is not None:
             self.guard = PerceptionGuard(self.predictor)
         self.perception = EnhancedPerception(
-            predictor=self.guard or self.predictor,
+            predictor=self.guard,
             sensor=Sensor(detection_range=cfg.sensor_range),
             history_steps=cfg.history_steps,
             use_phantoms=cfg.use_phantoms,
@@ -104,7 +104,7 @@ class HEAD(object):
         cfg = self.config
         perceptions = [
             EnhancedPerception(
-                predictor=self.guard or self.predictor,
+                predictor=self.guard,
                 sensor=Sensor(detection_range=cfg.sensor_range),
                 history_steps=cfg.history_steps,
                 use_phantoms=cfg.use_phantoms,

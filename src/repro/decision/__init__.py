@@ -12,7 +12,7 @@ from .agents import EpsilonSchedule, PamdpAgent, PDQNAgent, PQPAgent, PDDPGAgent
 from .policies import (Controller, AgentController, RuleBasedPolicy, IDMLCPolicy,
                        ACCLCPolicy, TPBTSPolicy, DISCRETE_ACCELS)
 from .drlsc import DRLSCAgent, DRLSCController, MANEUVERS
-from .safety import SafetyFallbackPolicy, front_ttc
+from .safety import SafetyFallbackPolicy, front_ttc, front_ttc_from_graph
 from .trainer import RLTrainingLog, train_agent, NaNLossError, CHECKPOINT_NAME
 
 __all__ = [
@@ -28,6 +28,6 @@ __all__ = [
     "Controller", "AgentController", "RuleBasedPolicy", "IDMLCPolicy",
     "ACCLCPolicy", "TPBTSPolicy", "DISCRETE_ACCELS",
     "DRLSCAgent", "DRLSCController", "MANEUVERS",
-    "SafetyFallbackPolicy", "front_ttc",
+    "SafetyFallbackPolicy", "front_ttc", "front_ttc_from_graph",
     "RLTrainingLog", "train_agent", "NaNLossError", "CHECKPOINT_NAME",
 ]

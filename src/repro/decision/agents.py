@@ -125,14 +125,21 @@ class PDQNAgent(PamdpAgent):
         self.opt_x = nn.Adam(self.x_net.parameters(), lr=lr_x)
 
     # -- acting ---------------------------------------------------------
-    def action_values(self, state: AugmentedState) -> tuple[np.ndarray, np.ndarray]:
-        """Return (accels, q_values), each (3,), without exploration."""
+    def _greedy_forward(self, current: np.ndarray,
+                        future: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(accels, q_values), each (K, 3), for K stacked states; no tape."""
         with nn.no_grad():
-            current = nn.Tensor(state.current[None])
-            future = nn.Tensor(state.future[None])
+            current = nn.Tensor(current)
+            future = nn.Tensor(future)
             accels = self.x_net(current, future)
             q_values = self.q_net(current, future, accels)
-        return accels.numpy()[0], q_values.numpy()[0]
+        return accels.numpy(), q_values.numpy()
+
+    def action_values(self, state: AugmentedState) -> tuple[np.ndarray, np.ndarray]:
+        """Return (accels, q_values), each (3,), without exploration."""
+        accels, q_values = self._greedy_forward(state.current[None],
+                                                state.future[None])
+        return accels[0], q_values[0]
 
     def act(self, state: AugmentedState, explore: bool = True) -> ParameterizedAction:
         accels, q_values = self.action_values(state)
@@ -152,9 +159,9 @@ class PDQNAgent(PamdpAgent):
                   explore: bool = False) -> list[ParameterizedAction]:
         """Greedy actions for many states in one network forward.
 
-        Batching exploits the stacked matmuls of ``repro.nn``: K parallel
-        episodes cost one forward of batch K instead of K forwards of
-        batch 1.  Exploration draws are per-state sequential RNG, so
+        Batching exploits the stacked matmuls of ``repro.nn``: K states
+        (fleet AVs, served requests) cost one forward of batch K instead
+        of K forwards of batch 1.  Exploration draws are per-state sequential RNG, so
         ``explore=True`` falls back to the scalar :meth:`act` loop
         (which preserves the draw order) -- this helper targets greedy
         evaluation.  Does not record ``last_aux``.
@@ -163,13 +170,10 @@ class PDQNAgent(PamdpAgent):
             return [self.act(state, explore=True) for state in states]
         if not states:
             return []
-        with nn.no_grad():
-            current = nn.Tensor(np.stack([state.current for state in states]))
-            future = nn.Tensor(np.stack([state.future for state in states]))
-            accels = self.x_net(current, future)
-            q_values = self.q_net(current, future, accels)
-        accel_rows = accels.numpy()
-        behaviors = np.argmax(q_values.numpy(), axis=1)
+        accel_rows, q_values = self._greedy_forward(
+            np.stack([state.current for state in states]),
+            np.stack([state.future for state in states]))
+        behaviors = np.argmax(q_values, axis=1)
         return [
             ParameterizedAction(
                 LaneBehavior(int(behavior)),

@@ -41,31 +41,15 @@ class Controller:
 
     name = "controller"
 
-    #: Whether greedy decisions depend only on ``(env, state)`` -- no
-    #: internal per-episode state.  Stateless controllers can be shared
-    #: across the slots of a batched evaluation run.
-    stateless = False
-
     def begin_episode(self) -> None:
         """Hook called at episode start (reset internal state)."""
 
     def select_action(self, env, state: AugmentedState) -> ParameterizedAction:
         raise NotImplementedError
 
-    def select_actions(self, envs, states) -> list[ParameterizedAction]:
-        """Batched :meth:`select_action` over parallel episodes.
-
-        The default loops; controllers backed by batchable models (e.g.
-        a Q-network) override this to answer the whole front at once.
-        """
-        return [self.select_action(env, state)
-                for env, state in zip(envs, states)]
-
 
 class AgentController(Controller):
     """Adapter exposing a trained RL agent as a greedy controller."""
-
-    stateless = True
 
     def __init__(self, agent, name: str = "agent") -> None:
         self.agent = agent
@@ -73,12 +57,6 @@ class AgentController(Controller):
 
     def select_action(self, env, state: AugmentedState) -> ParameterizedAction:
         return self.agent.act(state, explore=False)
-
-    def select_actions(self, envs, states) -> list[ParameterizedAction]:
-        act_batch = getattr(self.agent, "act_batch", None)
-        if act_batch is None:
-            return super().select_actions(envs, states)
-        return act_batch(states, explore=False)
 
 
 class RuleBasedPolicy(Controller):
@@ -194,7 +172,6 @@ class TPBTSPolicy(Controller):
     """
 
     name = "TP-BTS"
-    stateless = True
 
     def __init__(self, depth: int = 2, safety_gap: float = 5.0) -> None:
         self.depth = depth

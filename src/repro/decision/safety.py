@@ -11,20 +11,41 @@ leaving nominal driving untouched.
 The time-to-collision test runs on the *perceived* front target (area
 2 of the paper's layout), so the fallback sees the same sensor-limited
 world as every other method; phantoms at the detection boundary are R
-meters out and therefore never trip the threshold.
+meters out and therefore never trip the threshold.  One TTC rule serves
+a perception scene (:func:`front_ttc`) and a graph (:func:`front_ttc_from_graph`).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..perception.graph import OUTPUT_SCALE, SpatialTemporalGraph
 from ..perception.phantom import TrackKind
 from ..sim import constants
 from .pamdp import AugmentedState, LaneBehavior, ParameterizedAction
 from .policies import Controller
 
-__all__ = ["SafetyFallbackPolicy", "front_ttc"]
+__all__ = ["SafetyFallbackPolicy", "TTC_DEGRADED", "front_ttc",
+           "front_ttc_from_graph"]
 
 #: Gap below which the follower is effectively touching the leader.
 _CONTACT_GAP = 0.5
+
+#: Braking threshold (s) while perception is untrusted: the policy is
+#: flying partially blind, so braking starts earlier than nominal.
+TTC_DEGRADED = 3.0
+
+#: Index of the paper's area 2 (directly ahead) in a graph's target axis.
+_FRONT_ROW = 1
+
+
+def _ttc(gap: float, closing: float) -> float | None:
+    """The TTC rule: ``0.0`` on (near-)contact, ``None`` while opening."""
+    if gap <= _CONTACT_GAP:
+        return 0.0
+    if closing <= 0.0:
+        return None
+    return gap / closing
 
 
 def front_ttc(env) -> float | None:
@@ -40,13 +61,23 @@ def front_ttc(env) -> float | None:
     target = frame.scene.node(2)
     if target.kind is TrackKind.ZERO:
         return None
-    gap = target.lon - av.lon - constants.VEHICLE_LENGTH
-    if gap <= _CONTACT_GAP:
-        return 0.0
-    closing = av.v - target.v
-    if closing <= 0.0:
+    return _ttc(target.lon - av.lon - constants.VEHICLE_LENGTH,
+                av.v - target.v)
+
+
+def front_ttc_from_graph(graph: SpatialTemporalGraph) -> float | None:
+    """:func:`front_ttc` on the graph's last-step front-target row.
+
+    The row's scaled ``[d_lat, d_lon, v_rel]`` is converted back to
+    physical units.  Returns ``None`` for an empty (all-zero) slot, a
+    non-finite row, or an opening gap; ``0.0`` on (near-)contact.
+    """
+    row = graph.target_features[-1, _FRONT_ROW]
+    if not np.isfinite(row).all() or not row.any():
         return None
-    return gap / closing
+    d_lon = float(row[1]) * float(OUTPUT_SCALE[1])
+    v_rel = float(row[2]) * float(OUTPUT_SCALE[2])
+    return _ttc(d_lon - constants.VEHICLE_LENGTH, -v_rel)
 
 
 class SafetyFallbackPolicy(Controller):
@@ -70,7 +101,7 @@ class SafetyFallbackPolicy(Controller):
     """
 
     def __init__(self, inner: Controller, guard=None,
-                 ttc_brake: float = 1.5, ttc_degraded: float = 3.0,
+                 ttc_brake: float = 1.5, ttc_degraded: float = TTC_DEGRADED,
                  min_confidence: float = 1.0) -> None:
         self.inner = inner
         self.guard = guard

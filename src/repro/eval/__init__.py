@@ -2,10 +2,8 @@
 
 from .metrics import (EvaluationReport, aggregate, FleetImpactReport,
                       aggregate_fleet)
-from .episodes import (run_episode, evaluate_controller,
-                       evaluate_controller_batch, run_fleet_episode,
-                       evaluate_fleet, RewardStats,
-                       reward_statistics)
+from .episodes import (run_episode, evaluate_controller, run_fleet_episode,
+                       evaluate_fleet, RewardStats, reward_statistics)
 from .tables import render_table, render_metric_table, PAPER_COLUMNS
 from .significance import ConfidenceInterval, bootstrap_mean, bootstrap_difference
 from .degradation import (FaultyHarness, DegradationPoint, DegradationReport,
@@ -13,8 +11,7 @@ from .degradation import (FaultyHarness, DegradationPoint, DegradationReport,
 
 __all__ = [
     "EvaluationReport", "aggregate", "FleetImpactReport", "aggregate_fleet",
-    "run_episode", "evaluate_controller", "evaluate_controller_batch",
-    "run_fleet_episode", "evaluate_fleet",
+    "run_episode", "evaluate_controller", "run_fleet_episode", "evaluate_fleet",
     "RewardStats", "reward_statistics",
     "render_table", "render_metric_table", "PAPER_COLUMNS",
     "ConfidenceInterval", "bootstrap_mean", "bootstrap_difference",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -14,9 +13,8 @@ from ..decision.policies import Controller
 from .metrics import (EvaluationReport, FleetImpactReport, aggregate,
                       aggregate_fleet)
 
-__all__ = ["run_episode", "evaluate_controller", "evaluate_controller_batch",
-           "run_fleet_episode", "evaluate_fleet",
-           "RewardStats", "reward_statistics"]
+__all__ = ["run_episode", "evaluate_controller", "run_fleet_episode",
+           "evaluate_fleet", "RewardStats", "reward_statistics"]
 
 
 def run_episode(controller: Controller, env: DrivingEnv, seed: int,
@@ -72,84 +70,6 @@ def evaluate_fleet(controller, env: FleetEnv, seeds: list[int] | range,
     return aggregate_fleet(results)
 
 
-@dataclass
-class _EpisodeSlot:
-    """One in-flight episode of the batched runner."""
-
-    env: DrivingEnv
-    controller: Controller
-    index: int          # position of this episode's seed in the seed list
-    state: object
-    cap: int
-    steps: int = 0
-
-
-def _start_episode(env: DrivingEnv, controller: Controller, index: int,
-                   seed: int, max_steps: int | None) -> _EpisodeSlot:
-    state = env.reset(seed)
-    controller.begin_episode()
-    return _EpisodeSlot(env, controller, index, state,
-                        cap=max_steps or env.max_steps)
-
-
-def evaluate_controller_batch(controller: Controller, env: DrivingEnv,
-                              seeds: list[int] | range, batch_size: int = 8,
-                              max_steps: int | None = None) -> EvaluationReport:
-    """Batched :func:`evaluate_controller`: step seeded episodes round-robin.
-
-    Up to ``batch_size`` episodes are in flight at once, each on a deep
-    copy of ``env``.  Every turn collects the front of pending states
-    and asks the controller for all actions via
-    :meth:`Controller.select_actions`, so batchable controllers (e.g. an
-    RL agent whose Q-network forwards a whole batch through ``repro.nn``)
-    amortize their per-call cost across episodes.  Stateless controllers
-    (``controller.stateless``) are shared between slots; stateful ones
-    are deep-copied per slot.  A finished slot immediately restarts on
-    the next unclaimed seed.
-
-    Episodes are seeded and scored exactly as in the sequential runner,
-    and results are ordered by seed, so with ``batch_size=1`` the report
-    matches :func:`evaluate_controller` episode for episode.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return aggregate([], env.road.length)
-    batch_size = max(1, min(batch_size, len(seeds)))
-    shared = bool(getattr(controller, "stateless", False))
-    results: list[EpisodeResult | None] = [None] * len(seeds)
-    slots: list[_EpisodeSlot] = []
-    next_index = 0
-    for _ in range(batch_size):
-        slot_controller = controller if shared else copy.deepcopy(controller)
-        slots.append(_start_episode(copy.deepcopy(env), slot_controller,
-                                    next_index, seeds[next_index], max_steps))
-        next_index += 1
-    while slots:
-        if shared:
-            actions = controller.select_actions(
-                [slot.env for slot in slots],
-                [slot.state for slot in slots])
-        else:
-            actions = [slot.controller.select_action(slot.env, slot.state)
-                       for slot in slots]
-        still_running: list[_EpisodeSlot] = []
-        for slot, action in zip(slots, actions):
-            state, _, done, _ = slot.env.step(action)
-            slot.state = state
-            slot.steps += 1
-            if done or state is None or slot.steps >= slot.cap:
-                results[slot.index] = slot.env.result
-                if next_index < len(seeds):
-                    still_running.append(_start_episode(
-                        slot.env, slot.controller, next_index,
-                        seeds[next_index], max_steps))
-                    next_index += 1
-            else:
-                still_running.append(slot)
-        slots = still_running
-    return aggregate(results, env.road.length)
-
-
 @dataclass(frozen=True)
 class RewardStats:
     """Table V quantities: per-episode mean rewards summarized."""
@@ -160,30 +80,34 @@ class RewardStats:
     avg_inference_ms: float
 
 
+class _TimedController(Controller):
+    """Delegates to ``inner``, recording each decision's wall time (s)."""
+
+    def __init__(self, inner: Controller) -> None:
+        self.inner = inner
+        self.latencies: list[float] = []
+
+    def begin_episode(self) -> None:
+        self.inner.begin_episode()
+
+    def select_action(self, env, state):
+        start = time.perf_counter()
+        action = self.inner.select_action(env, state)
+        self.latencies.append(time.perf_counter() - start)
+        return action
+
+
 def reward_statistics(controller: Controller, env: DrivingEnv,
                       seeds: list[int] | range,
                       max_steps: int | None = None) -> RewardStats:
     """Episode mean-reward min/max/avg plus average per-step decision latency."""
-    episode_rewards: list[float] = []
-    latencies: list[float] = []
-    for seed in seeds:
-        state = env.reset(seed)
-        controller.begin_episode()
-        cap = max_steps or env.max_steps
-        steps = 0
-        while steps < cap:
-            start = time.perf_counter()
-            action = controller.select_action(env, state)
-            latencies.append(time.perf_counter() - start)
-            state, _, done, _ = env.step(action)
-            steps += 1
-            if done or state is None:
-                break
-        episode_rewards.append(env.result.mean_reward)
-    rewards = np.array(episode_rewards)
+    timed = _TimedController(controller)
+    rewards = np.array([
+        run_episode(timed, env, seed, max_steps=max_steps).mean_reward
+        for seed in seeds])
     return RewardStats(
         min_reward=float(rewards.min()),
         max_reward=float(rewards.max()),
         avg_reward=float(rewards.mean()),
-        avg_inference_ms=float(np.mean(latencies) * 1000.0),
+        avg_inference_ms=float(np.mean(timed.latencies) * 1000.0),
     )

@@ -28,7 +28,24 @@ from ..perception.graph import OUTPUT_SCALE, SpatialTemporalGraph
 from ..perception.predictor import StatePredictor
 from ..sim import constants
 
-__all__ = ["GuardStats", "PerceptionGuard"]
+__all__ = ["DEFAULT_ENVELOPE", "GuardStats", "PerceptionGuard",
+           "constant_velocity_fallback"]
+
+#: Physical envelope on a predicted ``[d_lat, d_lon, v_rel]`` row, in
+#: meters / meters / m-per-s: generous multiples of the road geometry and
+#: sensor range, so a healthy (even untrained) network never trips it.
+DEFAULT_ENVELOPE = ((constants.NUM_LANES + 2) * constants.LANE_WIDTH,
+                    2.0 * constants.SENSOR_RANGE,
+                    2.0 * constants.V_MAX)
+
+
+def constant_velocity_fallback(graph: SpatialTemporalGraph,
+                               envelope: np.ndarray) -> np.ndarray:
+    """Constant-velocity baseline clipped to ``envelope``, zeros where the graph is bad."""
+    with np.errstate(all="ignore"):
+        baseline = StatePredictor.kinematic_baseline(graph) * OUTPUT_SCALE
+    baseline = np.where(np.isfinite(baseline), baseline, 0.0)
+    return np.clip(baseline, -envelope, envelope)
 
 
 @dataclass
@@ -56,15 +73,13 @@ class PerceptionGuard:
         The wrapped predictor (anything with ``predict(graph)``).
     d_lat_max / d_lon_max / v_rel_max:
         Physical envelope on the predicted relative state, in meters /
-        meters / m-per-s.  Defaults are generous multiples of the road
-        geometry and sensor range so a healthy (even untrained) network
-        never trips them.
+        meters / m-per-s; defaults to :data:`DEFAULT_ENVELOPE`.
     """
 
     def __init__(self, predictor,
-                 d_lat_max: float = (constants.NUM_LANES + 2) * constants.LANE_WIDTH,
-                 d_lon_max: float = 2.0 * constants.SENSOR_RANGE,
-                 v_rel_max: float = 2.0 * constants.V_MAX) -> None:
+                 d_lat_max: float = DEFAULT_ENVELOPE[0],
+                 d_lon_max: float = DEFAULT_ENVELOPE[1],
+                 v_rel_max: float = DEFAULT_ENVELOPE[2]) -> None:
         if predictor is None:
             raise ValueError("PerceptionGuard needs a predictor to wrap")
         self.predictor = predictor
@@ -117,7 +132,7 @@ class PerceptionGuard:
             return raw
         self.stats.degraded_frames += 1
         self.stats.degraded_targets += self.last_degraded
-        fallback = self._fallback(graph)
+        fallback = constant_velocity_fallback(graph, self.envelope)
         result = raw.copy()
         result[bad] = fallback[bad]
         return result
@@ -139,10 +154,3 @@ class PerceptionGuard:
         inside = np.zeros(len(prediction), dtype=bool)
         inside[finite] = (np.abs(prediction[finite]) <= self.envelope).all(axis=1)
         return ~inside
-
-    def _fallback(self, graph: SpatialTemporalGraph) -> np.ndarray:
-        """Constant-velocity baseline, zeros where the graph itself is bad."""
-        with np.errstate(all="ignore"):
-            baseline = StatePredictor.kinematic_baseline(graph) * OUTPUT_SCALE
-        baseline = np.where(np.isfinite(baseline), baseline, 0.0)
-        return np.clip(baseline, -self.envelope, self.envelope)

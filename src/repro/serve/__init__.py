@@ -26,12 +26,10 @@ See ``docs/serving.md`` for the architecture and tuning guide.
 """
 
 from .types import (BatchStats, InferenceRequest, InferenceResponse,
-                    RequestIdSequence, ServiceLevel, Verdict,
-                    next_request_id)
+                    RequestIdSequence, ServiceLevel, Verdict)
 from .batcher import BatcherConfig, MicroBatcher, OfferRejected
 from .breaker import BreakerConfig, CircuitBreaker
-from .engine import (BatchInferenceEngine, ItemResult, front_ttc_from_graph,
-                     safety_action_from_graph)
+from .engine import BatchInferenceEngine, ItemResult, safety_action_from_graph
 from .health import HealthReport, HealthTracker
 from .server import InferenceServer, ServerConfig
 from .client import ClientConfig, RetryBudget, ServeClient
@@ -40,11 +38,10 @@ from .transport import TcpClient, TcpTransport, decode_graph, encode_graph
 
 __all__ = [
     "ServiceLevel", "Verdict", "InferenceRequest", "InferenceResponse",
-    "BatchStats", "RequestIdSequence", "next_request_id",
+    "BatchStats", "RequestIdSequence",
     "BatcherConfig", "MicroBatcher", "OfferRejected",
     "BreakerConfig", "CircuitBreaker",
-    "BatchInferenceEngine", "ItemResult", "front_ttc_from_graph",
-    "safety_action_from_graph",
+    "BatchInferenceEngine", "ItemResult", "safety_action_from_graph",
     "HealthReport", "HealthTracker",
     "InferenceServer", "ServerConfig",
     "ClientConfig", "RetryBudget", "ServeClient",

@@ -4,20 +4,20 @@ The engine is the synchronous compute core under the async server: it
 takes a list of perception graphs (one per request) and produces one
 action per graph, batched through the entry points the rest of the repo
 already trusts -- :func:`~repro.perception.graph.concat_graphs` +
-``predictor.predict`` for perception and
+:meth:`~repro.faults.guard.PerceptionGuard.predict` for perception and
 :meth:`~repro.decision.agents.PDQNAgent.act_batch` for decision.
 
 Ladder semantics (:class:`~repro.serve.types.ServiceLevel`):
 
-* ``FULL_HEAD`` -- stacked LST-GAT forward (wrapped by the
-  :class:`~repro.faults.guard.PerceptionGuard` when available, so NaN
+* ``FULL_HEAD`` -- stacked LST-GAT forward through the engine's
+  :class:`~repro.faults.guard.PerceptionGuard` (so NaN or out-of-envelope
   rows degrade per request instead of poisoning the batch), then one
   ``act_batch`` forward.
-* ``CV_PERCEPTION`` -- the guard's own constant-velocity fallback used
-  for *every* row (no perception network), then ``act_batch``.
-* ``SAFETY_FALLBACK`` -- no networks at all: the TTC gate of
-  :class:`~repro.decision.safety.SafetyFallbackPolicy`, evaluated
-  directly on each graph's front-target row.
+* ``CV_PERCEPTION`` -- the guard module's constant-velocity fallback
+  used for *every* row (no perception network), then ``act_batch``.
+* ``SAFETY_FALLBACK`` -- no networks at all: the degraded-perception TTC
+  gate of :mod:`repro.decision.safety`, evaluated directly on each
+  graph's front-target row.
 
 Poisoned inputs (non-finite graph arrays) are filtered *before*
 stacking -- one corrupt client must never contaminate a batch -- and
@@ -33,59 +33,27 @@ import numpy as np
 from ..decision.agents import PDQNAgent
 from ..decision.pamdp import (LaneBehavior, ParameterizedAction,
                               augmented_state_from_graph)
-from ..perception.graph import (OUTPUT_SCALE, SpatialTemporalGraph,
-                                concat_graphs, split_rows)
-from ..perception.predictor import StatePredictor
+from ..decision.safety import TTC_DEGRADED, front_ttc_from_graph
+from ..faults.guard import (DEFAULT_ENVELOPE, PerceptionGuard,
+                            constant_velocity_fallback)
+from ..perception.graph import SpatialTemporalGraph, concat_graphs, split_rows
 from ..sim import constants
 from .types import ServiceLevel, Verdict
 
-__all__ = ["ItemResult", "BatchInferenceEngine", "front_ttc_from_graph",
-           "safety_action_from_graph"]
-
-#: Gap below which the front target is effectively touching the ego
-#: (mirrors repro.decision.safety._CONTACT_GAP).
-_CONTACT_GAP = 0.5
-
-#: Index of the paper's area 2 (directly ahead) in the target axis.
-_FRONT_ROW = 1
+__all__ = ["ItemResult", "BatchInferenceEngine", "safety_action_from_graph"]
 
 
-def front_ttc_from_graph(graph: SpatialTemporalGraph) -> float | None:
-    """Time-to-collision against the graph's front target, if closing.
-
-    Graph-space reimplementation of
-    :func:`repro.decision.safety.front_ttc`: the front target's scaled
-    ``[d_lat, d_lon, v_rel]`` row is converted back to physical units.
-    Returns ``None`` for empty/zero slots, non-finite rows, or an
-    opening gap; ``0.0`` on (near-)contact.
-    """
-    row = graph.target_features[-1, _FRONT_ROW]
-    if not np.isfinite(row).all() or not row.any():
-        return None
-    d_lon = float(row[1]) * float(OUTPUT_SCALE[1])
-    v_rel = float(row[2]) * float(OUTPUT_SCALE[2])
-    gap = d_lon - constants.VEHICLE_LENGTH
-    if gap <= _CONTACT_GAP:
-        return 0.0
-    closing = -v_rel            # v_rel = v_target - v_ego
-    if closing <= 0.0:
-        return None
-    return gap / closing
-
-
-def safety_action_from_graph(graph: SpatialTemporalGraph,
-                             ttc_brake: float = 3.0) -> ParameterizedAction:
+def safety_action_from_graph(graph: SpatialTemporalGraph) -> ParameterizedAction:
     """The bottom-rung answer: keep the lane, brake when TTC demands it.
 
-    Uses the *degraded* threshold of
-    :class:`~repro.decision.safety.SafetyFallbackPolicy` -- at this rung
-    perception is by definition untrusted, so braking starts early.  A
-    graph too corrupt to yield a TTC brakes unconditionally: unknown is
-    treated as imminent.
+    Uses the *degraded* threshold :data:`~repro.decision.safety.TTC_DEGRADED`
+    -- at this rung perception is by definition untrusted, so braking
+    starts early.  A graph too corrupt to yield a TTC brakes
+    unconditionally: unknown is treated as imminent.
     """
     finite = np.isfinite(graph.target_features).all()
     ttc = front_ttc_from_graph(graph)
-    if not finite or (ttc is not None and ttc < ttc_brake):
+    if not finite or (ttc is not None and ttc < TTC_DEGRADED):
         return ParameterizedAction(LaneBehavior.KEEP, -constants.A_MAX)
     return ParameterizedAction(LaneBehavior.KEEP, 0.0)
 
@@ -108,7 +76,7 @@ def _graph_is_finite(graph: SpatialTemporalGraph) -> bool:
 
 
 class BatchInferenceEngine:
-    """Stateless-per-call compute core mapping graphs -> actions.
+    """Compute core mapping graphs -> actions.
 
     Parameters
     ----------
@@ -117,26 +85,23 @@ class BatchInferenceEngine:
     predictor:
         Perception network, a
         :class:`~repro.faults.guard.PerceptionGuard` wrapping one, or
-        ``None`` (every FULL_HEAD batch then serves at CV level).
-    ttc_brake:
-        Threshold of the bottom-rung TTC gate, seconds.
+        ``None`` (every FULL_HEAD batch then serves at CV level).  A raw
+        network is wrapped in a guard with the default envelope.
     """
 
-    def __init__(self, agent: PDQNAgent, predictor=None,
-                 ttc_brake: float = 3.0) -> None:
+    def __init__(self, agent: PDQNAgent, predictor=None) -> None:
         self.agent = agent
-        self.predictor = predictor
-        self.ttc_brake = ttc_brake
-        guard_env = getattr(predictor, "envelope", None)
-        self.envelope = (np.array(guard_env) if guard_env is not None
-                         else np.array([(constants.NUM_LANES + 2) * constants.LANE_WIDTH,
-                                        2.0 * constants.SENSOR_RANGE,
-                                        2.0 * constants.V_MAX]))
+        if predictor is None or isinstance(predictor, PerceptionGuard):
+            self.guard = predictor
+        else:
+            self.guard = PerceptionGuard(predictor)
+        self.envelope = (self.guard.envelope if self.guard is not None
+                         else np.array(DEFAULT_ENVELOPE))
 
     @classmethod
-    def from_head(cls, head, ttc_brake: float = 3.0) -> "BatchInferenceEngine":
+    def from_head(cls, head) -> "BatchInferenceEngine":
         """Build from a :class:`repro.core.head.HEAD` instance."""
-        return cls(head.agent, head.guard or head.predictor, ttc_brake=ttc_brake)
+        return cls(head.agent, head.guard)
 
     # ------------------------------------------------------------------
     # the one entry point
@@ -176,20 +141,14 @@ class BatchInferenceEngine:
                      level: ServiceLevel) -> list[ItemResult]:
         counts = [graph.target_features.shape[1] for graph in graphs]
         stacked = concat_graphs(graphs)
-        if level is ServiceLevel.FULL_HEAD and self.predictor is not None:
-            prediction = np.asarray(self.predictor.predict(stacked), dtype=np.float64)
-            bad_rows = getattr(self.predictor, "last_bad_rows", None)
-            if bad_rows is None or len(bad_rows) != len(prediction):
-                bad_rows = ~np.isfinite(prediction).all(axis=1)
-                prediction = np.where(np.isfinite(prediction), prediction, 0.0)
+        if level is ServiceLevel.FULL_HEAD and self.guard is not None:
+            prediction = self.guard.predict(stacked)
+            bad_rows = self.guard.last_bad_rows
         else:
-            # CV rung (or no predictor wired): the guard's own fallback
-            # formula, applied to every row -- no perception network.
+            # CV rung (or no predictor wired): the guard's fallback for
+            # every row -- no perception network.
             level = ServiceLevel.CV_PERCEPTION
-            with np.errstate(all="ignore"):
-                baseline = StatePredictor.kinematic_baseline(stacked) * OUTPUT_SCALE
-            baseline = np.where(np.isfinite(baseline), baseline, 0.0)
-            prediction = np.clip(baseline, -self.envelope, self.envelope)
+            prediction = constant_velocity_fallback(stacked, self.envelope)
             bad_rows = np.zeros(len(prediction), dtype=bool)
 
         states = [augmented_state_from_graph(graph, rows)
@@ -209,6 +168,6 @@ class BatchInferenceEngine:
         return results
 
     def _safety_result(self, graph: SpatialTemporalGraph) -> ItemResult:
-        action = safety_action_from_graph(graph, ttc_brake=self.ttc_brake)
+        action = safety_action_from_graph(graph)
         return ItemResult(action=action, verdict=Verdict.DEGRADED_FALLBACK,
                           level=ServiceLevel.SAFETY_FALLBACK)

@@ -54,7 +54,6 @@ class HealthTracker:
     """
 
     max_batch: int = 32
-    window: int = 128
     requests_total: int = 0
     responses_total: int = 0
     handler_failures_total: int = 0

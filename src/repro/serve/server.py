@@ -240,8 +240,6 @@ class InferenceServer:
                            shed_expired=shed_expired,
                            handler_failure=handler_failure,
                            service_time=service_time)
-        if handler_failure:
-            stats.extras["detail"] = detail
         self.breaker.record(stats, probe=probe)
         self.health.note_batch(stats)
 

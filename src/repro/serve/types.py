@@ -14,13 +14,14 @@ answers last.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from ..decision.pamdp import ParameterizedAction
 from ..perception.graph import SpatialTemporalGraph
 
-__all__ = ["ServiceLevel", "Verdict", "InferenceRequest", "InferenceResponse"]
+__all__ = ["ServiceLevel", "Verdict", "RequestIdSequence", "InferenceRequest",
+           "InferenceResponse", "BatchStats"]
 
 
 class ServiceLevel(IntEnum):
@@ -80,16 +81,6 @@ class RequestIdSequence:
 
     def __call__(self) -> str:
         return f"r{next(self._counter):08d}"
-
-
-def next_request_id(sequence: RequestIdSequence | None = None) -> str:
-    """Produce one fallback id (kept for API compatibility).
-
-    Without an explicit ``sequence`` each call builds a fresh one and
-    returns ``r00000000`` -- callers needing the monotonic stream (the
-    server) must hold their own :class:`RequestIdSequence`.
-    """
-    return (sequence if sequence is not None else RequestIdSequence())()
 
 
 @dataclass
@@ -175,10 +166,3 @@ class BatchStats:
     shed_expired: int = 0           # shed before compute
     handler_failure: bool = False   # stall/timeout/exception in the handler
     service_time: float = 0.0
-
-    extras: dict = field(default_factory=dict)
-
-
-__all__.append("BatchStats")
-__all__.append("RequestIdSequence")
-__all__.append("next_request_id")

@@ -32,7 +32,7 @@ SLOW_SETTINGS = settings(
 
 
 def direct_action(head, graph):
-    prediction = (head.guard or head.predictor).predict(graph)
+    prediction = head.guard.predict(graph)
     state = augmented_state_from_graph(graph, prediction)
     return head.agent.act(state, explore=False)
 

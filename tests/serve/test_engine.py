@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.decision.pamdp import LaneBehavior
+from repro.decision.safety import _CONTACT_GAP, front_ttc_from_graph
+from repro.faults.guard import PerceptionGuard
 from repro.faults.service import poison_graph
-from repro.serve import ServiceLevel, Verdict, front_ttc_from_graph
+from repro.perception.graph import SpatialTemporalGraph
+from repro.serve import BatchInferenceEngine, ServiceLevel, Verdict
 from repro.serve.engine import safety_action_from_graph
 from repro.sim import constants
 
@@ -54,6 +57,34 @@ def test_empty_batch_is_empty(engine):
     assert engine.infer([], ServiceLevel.FULL_HEAD) == []
 
 
+class CorruptRows:
+    """A raw predictor whose output has one NaN and one out-of-envelope row."""
+
+    def __init__(self, inner, nan_row, far_row):
+        self.inner = inner
+        self.nan_row = nan_row
+        self.far_row = far_row
+
+    def predict(self, graph):
+        prediction = np.array(self.inner.predict(graph), dtype=np.float64)
+        prediction[self.nan_row] = np.nan
+        prediction[self.far_row] = [0.0, 1e6, 0.0]
+        return prediction
+
+
+def test_raw_predictor_is_guarded_like_a_guard(head, pool):
+    rows = pool[0].target_features.shape[1]
+    fake = CorruptRows(head.predictor, nan_row=5, far_row=rows + 1)
+    raw = BatchInferenceEngine(head.agent, fake)
+    guarded = BatchInferenceEngine(head.agent, PerceptionGuard(fake))
+    graphs = pool[:3]
+    results = raw.infer(graphs, ServiceLevel.FULL_HEAD)
+    assert results == guarded.infer(graphs, ServiceLevel.FULL_HEAD)
+    assert [result.verdict for result in results] == [
+        Verdict.DEGRADED_PERCEPTION, Verdict.DEGRADED_PERCEPTION, Verdict.OK]
+    assert [result.degraded_rows for result in results] == [1, 1, 0]
+
+
 def test_front_ttc_matches_hand_math(pool):
     graph = pool[0]
     row = graph.target_features[-1, 1]
@@ -61,7 +92,7 @@ def test_front_ttc_matches_hand_math(pool):
     closing = -float(row[2]) * 10.0
     ttc = front_ttc_from_graph(graph)
     if closing <= 0.0:
-        assert ttc is None or gap <= 0.5
+        assert ttc is None or gap <= _CONTACT_GAP
     else:
         assert ttc == pytest.approx(gap / closing)
 
@@ -70,7 +101,6 @@ def test_front_ttc_none_for_zero_slot(pool):
     graph = poison_graph(pool[0])
     zeroed = pool[0].target_features.copy()
     zeroed[-1, 1, :] = 0.0
-    from repro.perception.graph import SpatialTemporalGraph
     empty_front = SpatialTemporalGraph(zeroed, pool[0].contributor_features,
                                        pool[0].target_mask,
                                        pool[0].ego_features)
@@ -85,7 +115,6 @@ def test_safety_brakes_when_ttc_below_threshold(pool):
     features = base.target_features.copy()
     # Gap 25 m (0.25 * 100), closing 15 m/s -> TTC ~ 1.4 s < 3.0.
     features[-1, 1] = [0.0, 0.25, -1.5, 0.0]
-    from repro.perception.graph import SpatialTemporalGraph
     graph = SpatialTemporalGraph(features, base.contributor_features,
                                  base.target_mask, base.ego_features)
-    assert safety_action_from_graph(graph, ttc_brake=3.0).accel == -constants.A_MAX
+    assert safety_action_from_graph(graph).accel == -constants.A_MAX
