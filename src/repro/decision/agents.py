@@ -23,10 +23,14 @@ from ..sim import constants
 from ..seeding import resolve_rng
 from .networks import (BranchedQNetwork, BranchedXNetwork, NUM_BEHAVIORS,
                        VanillaQNetwork, VanillaXNetwork)
-from .pamdp import AugmentedState, LaneBehavior, ParameterizedAction
+from .pamdp import (AugmentedState, LaneBehavior, ParameterizedAction,
+                    StateBlock)
 from .replay import Batch, ReplayBuffer, Transition
 
 __all__ = ["EpsilonSchedule", "PamdpAgent", "PDQNAgent", "PQPAgent", "PDDPGAgent"]
+
+#: Behaviors indexed by their x_out position, for decoding argmax rows.
+_BEHAVIORS = tuple(LaneBehavior)
 
 
 @dataclass
@@ -155,32 +159,35 @@ class PDQNAgent(PamdpAgent):
         self._last_accels[behavior] = accel
         return ParameterizedAction(LaneBehavior(behavior), accel)
 
-    def act_batch(self, states: list[AugmentedState],
+    def act_batch(self, states: list[AugmentedState] | StateBlock,
                   explore: bool = False) -> list[ParameterizedAction]:
         """Greedy actions for many states in one network forward.
 
         Batching exploits the stacked matmuls of ``repro.nn``: K states
         (fleet AVs, served requests) cost one forward of batch K instead
-        of K forwards of batch 1.  Exploration draws are per-state sequential RNG, so
+        of K forwards of batch 1.  ``states`` is a list of states or one
+        :class:`~repro.decision.pamdp.StateBlock`; either way the decode
+        is one ``argmax``, one gather and one clip over the K rows.
+        Exploration draws are per-state sequential RNG, so
         ``explore=True`` falls back to the scalar :meth:`act` loop
         (which preserves the draw order) -- this helper targets greedy
         evaluation.  Does not record ``last_aux``.
         """
         if explore:
             return [self.act(state, explore=True) for state in states]
-        if not states:
+        if isinstance(states, StateBlock):
+            current, future = states.current, states.future
+        elif states:
+            current = np.stack([state.current for state in states])
+            future = np.stack([state.future for state in states])
+        else:
             return []
-        accel_rows, q_values = self._greedy_forward(
-            np.stack([state.current for state in states]),
-            np.stack([state.future for state in states]))
+        accel_rows, q_values = self._greedy_forward(current, future)
         behaviors = np.argmax(q_values, axis=1)
-        return [
-            ParameterizedAction(
-                LaneBehavior(int(behavior)),
-                float(np.clip(float(row[behavior]),
-                              -constants.A_MAX, constants.A_MAX)))
-            for row, behavior in zip(accel_rows, behaviors)
-        ]
+        accels = np.clip(accel_rows[np.arange(len(behaviors)), behaviors],
+                         -constants.A_MAX, constants.A_MAX)
+        return [ParameterizedAction(_BEHAVIORS[behavior], accel)
+                for behavior, accel in zip(behaviors.tolist(), accels.tolist())]
 
     def last_aux(self) -> np.ndarray:
         """The full x_out executed at the last act() (for the replay aux)."""

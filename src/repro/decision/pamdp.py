@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from ..perception.module import PerceptionFrame
 from ..sim import constants
 
 __all__ = ["LaneBehavior", "ParameterizedAction", "AugmentedState",
-           "build_augmented_state", "augmented_state_from_graph",
-           "CURRENT_SHAPE", "FUTURE_SHAPE"]
+           "StateBlock", "build_augmented_state", "augmented_state_from_graph",
+           "augmented_states_from_graph", "CURRENT_SHAPE", "FUTURE_SHAPE"]
 
 #: Shape of the current-state half h^t: ego + six targets, 4 features each.
 CURRENT_SHAPE = (7, 4)
@@ -96,19 +97,38 @@ def build_augmented_state(frame: PerceptionFrame) -> AugmentedState:
     return augmented_state_from_graph(frame.graph, frame.prediction)
 
 
-def augmented_state_from_graph(graph, prediction: np.ndarray) -> AugmentedState:
-    """Assemble s_+^t from a graph plus a (6, 3) physical-unit prediction.
+class StateBlock(NamedTuple):
+    """K augmented states as stacked arrays: the batched :class:`AugmentedState`."""
 
-    Decoupled from :class:`PerceptionFrame` so batched consumers -- the
-    inference server pairs one stacked LST-GAT forward with per-request
-    graph slices -- can build states without materializing frames.
-    Bit-identical to the :func:`build_augmented_state` path.
+    current: np.ndarray      # (K, 7, 4)
+    future: np.ndarray       # (K, 6, 4)
+    target_mask: np.ndarray  # (K, 6)
+
+
+def augmented_states_from_graph(graph, prediction: np.ndarray) -> StateBlock:
+    """Assemble K states from a stacked graph plus its ``(6K, 3)`` prediction.
+
+    ``graph`` holds K requests' graphs stacked along the target axis
+    (:func:`~repro.perception.graph.concat_graphs`), six targets each.
+    Every output row is a pure row-wise function of its own graph's
+    rows, so row k is bitwise what the K=1 call on graph k gives.
     """
-    current = np.zeros(CURRENT_SHAPE)
-    current[0] = graph.ego_features[-1, 0]
-    current[1:] = graph.target_features[-1]
+    last = graph.target_features[-1]                 # (6K, 4)
+    count = len(last) // FUTURE_SHAPE[0]
+    current = np.empty((count,) + CURRENT_SHAPE)
+    current[:, 0] = graph.ego_features[-1, ::FUTURE_SHAPE[0]]
+    current[:, 1:] = last.reshape(count, *FUTURE_SHAPE)
+    future = np.concatenate([prediction / OUTPUT_SCALE, last[:, 3:4]], axis=1)
+    return StateBlock(current, future.reshape(count, *FUTURE_SHAPE),
+                      graph.target_mask.reshape(count, FUTURE_SHAPE[0]).copy())
 
-    indicators = graph.target_features[-1, :, 3:4]
-    future = np.concatenate([prediction / OUTPUT_SCALE, indicators], axis=1)
-    return AugmentedState(current=current, future=future,
-                          target_mask=graph.target_mask.copy())
+
+def augmented_state_from_graph(graph, prediction: np.ndarray) -> AugmentedState:
+    """Assemble s_+^t from one graph plus its (6, 3) physical-unit prediction.
+
+    The K=1 case of :func:`augmented_states_from_graph`; bit-identical
+    to the :func:`build_augmented_state` path.
+    """
+    current, future, target_mask = augmented_states_from_graph(graph, prediction)
+    return AugmentedState(current=current[0], future=future[0],
+                          target_mask=target_mask[0])

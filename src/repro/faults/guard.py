@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perception.graph import OUTPUT_SCALE, SpatialTemporalGraph
+from ..perception.graph import (OUTPUT_SCALE, SpatialTemporalGraph,
+                                concat_graphs, split_rows)
 from ..perception.predictor import StatePredictor
 from ..sim import constants
 
@@ -87,61 +88,67 @@ class PerceptionGuard:
         self.stats = GuardStats()
         self.last_degraded = 0
         self.last_confidence = 1.0
-        #: Per-row validation mask of the last predict() call (True where
-        #: the fallback replaced the predictor's row).  Batched callers
-        #: (the inference server stacks many requests into one graph)
-        #: slice it to attribute degradation to individual requests.
-        self.last_bad_rows = np.zeros(0, dtype=bool)
 
     # ------------------------------------------------------------------
     # StatePredictor duck type
     # ------------------------------------------------------------------
     def predict(self, graph: SpatialTemporalGraph) -> np.ndarray:
         """Validated one-step prediction in physical units, always finite."""
-        try:
-            raw = np.asarray(self.predictor.predict(graph), dtype=np.float64)
-        except FloatingPointError:
-            raw = np.full((graph.target_features.shape[1], 3), np.nan)
-        return self._validate(graph, raw)
+        prediction, _ = self.predict_stacked(
+            graph, [graph.target_features.shape[1]])
+        return prediction
 
     def predict_many(self, graphs: list[SpatialTemporalGraph]) -> list[np.ndarray]:
         """Validated batched prediction: one stacked forward, per-graph guard.
 
-        Each graph still counts as one frame in :attr:`stats`, and each
-        prediction is validated against the same envelope as
-        :meth:`predict`; ``last_*`` attributes reflect the final graph.
+        Each graph counts as one frame in :attr:`stats`, and each row is
+        validated against the same envelope as :meth:`predict`;
+        ``last_*`` attributes reflect the final graph.
         """
-        inner = getattr(self.predictor, "predict_many", None)
-        if inner is None:
-            return [self.predict(graph) for graph in graphs]
-        try:
-            raws = inner(graphs)
-        except FloatingPointError:
-            raws = [np.full((graph.target_features.shape[1], 3), np.nan)
-                    for graph in graphs]
-        return [self._validate(graph, np.asarray(raw, dtype=np.float64))
-                for graph, raw in zip(graphs, raws)]
+        if not graphs:
+            return []
+        counts = [graph.target_features.shape[1] for graph in graphs]
+        prediction, _ = self.predict_stacked(concat_graphs(graphs), counts)
+        return split_rows(prediction, counts)
 
-    def _validate(self, graph: SpatialTemporalGraph, raw: np.ndarray) -> np.ndarray:
+    def predict_stacked(self, stacked: SpatialTemporalGraph,
+                        counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The guard's batch entry: ``(prediction, bad_rows)`` for a stack.
+
+        ``stacked`` holds graphs of ``counts`` targets each, concatenated
+        along the target axis.  One predictor forward, one validation
+        pass and (only if a row failed) one CV fallback over the stack;
+        every step is row-wise, so each graph's rows are bitwise what
+        :meth:`predict` on that graph alone returns.  ``bad_rows`` marks
+        the rows the fallback replaced.  Each graph is one frame.
+        """
+        try:
+            raw = np.asarray(self.predictor.predict(stacked), dtype=np.float64)
+        except FloatingPointError:
+            raw = np.full((stacked.target_features.shape[1], 3), np.nan)
         bad = self._invalid_rows(raw)
-        self.stats.frames += 1
-        self.last_bad_rows = bad
-        self.last_degraded = int(bad.sum())
-        self.last_confidence = 1.0 - self.last_degraded / max(len(bad), 1)
+        self.stats.frames += len(counts)
+        self.last_degraded = 0
+        self.last_confidence = 1.0
         if not bad.any():
-            return raw
-        self.stats.degraded_frames += 1
-        self.stats.degraded_targets += self.last_degraded
-        fallback = constant_velocity_fallback(graph, self.envelope)
+            return raw, bad
+        # Bad rows per graph: differences of the running bad count taken
+        # at the graph boundaries (safe for graphs of zero targets).
+        running = np.concatenate(([0], np.cumsum(bad)))
+        per_graph = np.diff(running[np.concatenate(([0], np.cumsum(counts)))])
+        self.stats.degraded_frames += int(np.count_nonzero(per_graph))
+        self.stats.degraded_targets += int(per_graph.sum())
+        self.last_degraded = int(per_graph[-1])
+        self.last_confidence = 1.0 - self.last_degraded / max(counts[-1], 1)
+        fallback = constant_velocity_fallback(stacked, self.envelope)
         result = raw.copy()
         result[bad] = fallback[bad]
-        return result
+        return result, bad
 
     def reset_stats(self) -> None:
         self.stats = GuardStats()
         self.last_degraded = 0
         self.last_confidence = 1.0
-        self.last_bad_rows = np.zeros(0, dtype=bool)
 
     # ------------------------------------------------------------------
     # internals

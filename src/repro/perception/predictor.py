@@ -115,11 +115,6 @@ class StatePredictor(nn.Module):
         return np.stack(rows) * OUTPUT_SCALE
 
     @staticmethod
-    def _target_sequences(graph: SpatialTemporalGraph) -> nn.Tensor:
-        """Per-target history ``(n, z, 4)`` from the graph arrays."""
-        return nn.Tensor(graph.target_features.transpose(1, 0, 2))
-
-    @staticmethod
     def _target_with_ego_sequences(graph: SpatialTemporalGraph) -> nn.Tensor:
         """Per-target history with the ego reference appended: ``(n, z, 8)``.
 

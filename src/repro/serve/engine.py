@@ -1,27 +1,30 @@
-"""Batched HEAD inference: one forward per micro-batch, per ladder rung.
+"""Batched HEAD inference: one array block per micro-batch, per ladder rung.
 
 The engine is the synchronous compute core under the async server: it
 takes a list of perception graphs (one per request) and produces one
-action per graph, batched through the entry points the rest of the repo
-already trusts -- :func:`~repro.perception.graph.concat_graphs` +
-:meth:`~repro.faults.guard.PerceptionGuard.predict` for perception and
-:meth:`~repro.decision.agents.PDQNAgent.act_batch` for decision.
+action per graph.  The micro-batch is stacked once and stays one block
+to its actions:
+:meth:`~repro.faults.guard.PerceptionGuard.predict_stacked`, then
+:func:`~repro.decision.pamdp.augmented_states_from_graph`, then
+:meth:`~repro.decision.agents.PDQNAgent.act_batch`.
 
 Ladder semantics (:class:`~repro.serve.types.ServiceLevel`):
 
 * ``FULL_HEAD`` -- stacked LST-GAT forward through the engine's
   :class:`~repro.faults.guard.PerceptionGuard` (so NaN or out-of-envelope
-  rows degrade per request instead of poisoning the batch), then one
-  ``act_batch`` forward.
+  rows degrade per request instead of poisoning the batch, and each
+  request's graph is one guard frame), then one ``act_batch`` forward.
 * ``CV_PERCEPTION`` -- the guard module's constant-velocity fallback
   used for *every* row (no perception network), then ``act_batch``.
 * ``SAFETY_FALLBACK`` -- no networks at all: the degraded-perception TTC
   gate of :mod:`repro.decision.safety`, evaluated directly on each
   graph's front-target row.
 
-Poisoned inputs (non-finite graph arrays) are filtered *before*
-stacking -- one corrupt client must never contaminate a batch -- and
-answered with a safety-fallback action and a degraded verdict.
+Bad inputs are quarantined per request: a graph without one request's
+layout is left out of the stack, and a non-finite one is left out by
+row.  Either is answered with a safety-fallback action and a degraded
+verdict, and its batchmates get bitwise the answers they would get
+without it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ import numpy as np
 
 from ..decision.agents import PDQNAgent
 from ..decision.pamdp import (LaneBehavior, ParameterizedAction,
-                              augmented_state_from_graph)
+                              augmented_states_from_graph)
 from ..decision.safety import TTC_DEGRADED, front_ttc_from_graph
 from ..faults.guard import (DEFAULT_ENVELOPE, PerceptionGuard,
                             constant_velocity_fallback)
-from ..perception.graph import SpatialTemporalGraph, concat_graphs, split_rows
+from ..perception.graph import (CONTRIBUTORS, FEATURE_DIM,
+                                SpatialTemporalGraph, concat_graphs)
+from ..perception.neighbors import AREA_COUNT
 from ..sim import constants
 from .types import ServiceLevel, Verdict
 
@@ -48,11 +53,15 @@ def safety_action_from_graph(graph: SpatialTemporalGraph) -> ParameterizedAction
 
     Uses the *degraded* threshold :data:`~repro.decision.safety.TTC_DEGRADED`
     -- at this rung perception is by definition untrusted, so braking
-    starts early.  A graph too corrupt to yield a TTC brakes
-    unconditionally: unknown is treated as imminent.
+    starts early.  A graph too corrupt to yield a TTC (non-finite, or
+    not readable as a graph at all) brakes unconditionally: unknown is
+    treated as imminent.
     """
-    finite = np.isfinite(graph.target_features).all()
-    ttc = front_ttc_from_graph(graph)
+    try:
+        finite = bool(np.isfinite(graph.target_features).all())
+        ttc = front_ttc_from_graph(graph)
+    except (AttributeError, IndexError, TypeError, ValueError):
+        finite, ttc = False, None
     if not finite or (ttc is not None and ttc < TTC_DEGRADED):
         return ParameterizedAction(LaneBehavior.KEEP, -constants.A_MAX)
     return ParameterizedAction(LaneBehavior.KEEP, 0.0)
@@ -68,11 +77,34 @@ class ItemResult:
     degraded_rows: int = 0
 
 
-def _graph_is_finite(graph: SpatialTemporalGraph) -> bool:
-    return bool(np.isfinite(graph.target_features).all()
-                and np.isfinite(graph.contributor_features).all()
-                and np.isfinite(graph.ego_features).all()
-                and np.isfinite(graph.target_mask).all())
+def _has_layout(graph, steps: int) -> bool:
+    """Whether ``graph``'s arrays have one request's layout at ``steps``."""
+    try:
+        return (graph.target_features.shape == (steps, AREA_COUNT, FEATURE_DIM)
+                and graph.contributor_features.shape
+                == (steps, AREA_COUNT, CONTRIBUTORS, FEATURE_DIM)
+                and graph.target_mask.shape == (AREA_COUNT,)
+                and graph.ego_features.shape == (steps, AREA_COUNT, FEATURE_DIM))
+    except AttributeError:
+        return False
+
+
+def _finite_graphs(stacked: SpatialTemporalGraph) -> np.ndarray:
+    """Per-graph finiteness of a stack of six-target graphs, ``(K,)``."""
+    rows = (np.isfinite(stacked.target_features).all(axis=(0, 2))
+            & np.isfinite(stacked.contributor_features).all(axis=(0, 2, 3))
+            & np.isfinite(stacked.ego_features).all(axis=(0, 2))
+            & np.isfinite(stacked.target_mask))
+    return rows.reshape(-1, AREA_COUNT).all(axis=1)
+
+
+def _take_rows(stacked: SpatialTemporalGraph,
+               keep: np.ndarray) -> SpatialTemporalGraph:
+    """The kept target rows of a stack: bitwise the stack of those graphs."""
+    return SpatialTemporalGraph(stacked.target_features[:, keep],
+                                stacked.contributor_features[:, keep],
+                                stacked.target_mask[keep],
+                                stacked.ego_features[:, keep])
 
 
 class BatchInferenceEngine:
@@ -87,9 +119,13 @@ class BatchInferenceEngine:
         :class:`~repro.faults.guard.PerceptionGuard` wrapping one, or
         ``None`` (every FULL_HEAD batch then serves at CV level).  A raw
         network is wrapped in a guard with the default envelope.
+    history_steps:
+        The history length z of the graphs the model is served; a
+        request whose graph has another layout is quarantined.
     """
 
-    def __init__(self, agent: PDQNAgent, predictor=None) -> None:
+    def __init__(self, agent: PDQNAgent, predictor=None,
+                 history_steps: int = constants.HISTORY_STEPS) -> None:
         self.agent = agent
         if predictor is None or isinstance(predictor, PerceptionGuard):
             self.guard = predictor
@@ -97,11 +133,12 @@ class BatchInferenceEngine:
             self.guard = PerceptionGuard(predictor)
         self.envelope = (self.guard.envelope if self.guard is not None
                          else np.array(DEFAULT_ENVELOPE))
+        self.history_steps = history_steps
 
     @classmethod
     def from_head(cls, head) -> "BatchInferenceEngine":
         """Build from a :class:`repro.core.head.HEAD` instance."""
-        return cls(head.agent, head.guard)
+        return cls(head.agent, head.guard, head.config.history_steps)
 
     # ------------------------------------------------------------------
     # the one entry point
@@ -111,63 +148,59 @@ class BatchInferenceEngine:
         """Answer every graph at the given ladder rung.
 
         Always returns exactly ``len(graphs)`` results in input order;
-        corrupt inputs degrade individually rather than failing the
-        batch.
+        malformed or non-finite inputs degrade individually rather than
+        failing the batch.
         """
         if not graphs:
             return []
         if level is ServiceLevel.SAFETY_FALLBACK:
             return [self._safety_result(graph) for graph in graphs]
 
-        finite_mask = [_graph_is_finite(graph) for graph in graphs]
-        clean = [graph for graph, good in zip(graphs, finite_mask) if good]
-        clean_results = self._infer_clean(clean, level) if clean else []
-
-        results: list[ItemResult] = []
-        clean_iter = iter(clean_results)
-        for graph, good in zip(graphs, finite_mask):
-            if good:
-                results.append(next(clean_iter))
-            else:
-                poisoned = self._safety_result(graph)
-                poisoned.degraded_rows = graph.target_features.shape[1]
-                results.append(poisoned)
-        return results
+        formed = [_has_layout(graph, self.history_steps) for graph in graphs]
+        members = [graph for graph, good in zip(graphs, formed) if good]
+        answers = iter(())
+        if members:
+            stacked = concat_graphs(members)
+            finite = _finite_graphs(stacked)
+            if finite.any():
+                if not finite.all():
+                    stacked = _take_rows(stacked, np.repeat(finite, AREA_COUNT))
+                answers = iter(self._infer_stacked(stacked, level))
+            finite = iter(finite.tolist())
+            formed = [good and next(finite) for good in formed]
+        return [next(answers) if good
+                else self._safety_result(graph, degraded_rows=AREA_COUNT)
+                for graph, good in zip(graphs, formed)]
 
     # ------------------------------------------------------------------
     # rungs
     # ------------------------------------------------------------------
-    def _infer_clean(self, graphs: list[SpatialTemporalGraph],
-                     level: ServiceLevel) -> list[ItemResult]:
-        counts = [graph.target_features.shape[1] for graph in graphs]
-        stacked = concat_graphs(graphs)
+    def _infer_stacked(self, stacked: SpatialTemporalGraph,
+                       level: ServiceLevel) -> list[ItemResult]:
+        count = stacked.target_features.shape[1] // AREA_COUNT
         if level is ServiceLevel.FULL_HEAD and self.guard is not None:
-            prediction = self.guard.predict(stacked)
-            bad_rows = self.guard.last_bad_rows
+            prediction, bad_rows = self.guard.predict_stacked(
+                stacked, [AREA_COUNT] * count)
+            degraded = bad_rows.reshape(count, AREA_COUNT).sum(axis=1).tolist()
+            verdicts = [Verdict.DEGRADED_PERCEPTION if rows else Verdict.OK
+                        for rows in degraded]
         else:
             # CV rung (or no predictor wired): the guard's fallback for
             # every row -- no perception network.
             level = ServiceLevel.CV_PERCEPTION
             prediction = constant_velocity_fallback(stacked, self.envelope)
-            bad_rows = np.zeros(len(prediction), dtype=bool)
+            degraded = [0] * count
+            verdicts = [Verdict.DEGRADED_PERCEPTION] * count
 
-        states = [augmented_state_from_graph(graph, rows)
-                  for graph, rows in zip(graphs, split_rows(prediction, counts))]
-        actions = self.agent.act_batch(states, explore=False)
+        actions = self.agent.act_batch(
+            augmented_states_from_graph(stacked, prediction), explore=False)
+        return [ItemResult(action=action, verdict=verdict, level=level,
+                           degraded_rows=rows)
+                for action, verdict, rows in zip(actions, verdicts, degraded)]
 
-        results = []
-        for graph, action, bad in zip(graphs, actions,
-                                      split_rows(bad_rows, counts)):
-            degraded = int(bad.sum())
-            if level is ServiceLevel.FULL_HEAD and degraded == 0:
-                verdict = Verdict.OK
-            else:
-                verdict = Verdict.DEGRADED_PERCEPTION
-            results.append(ItemResult(action=action, verdict=verdict,
-                                      level=level, degraded_rows=degraded))
-        return results
-
-    def _safety_result(self, graph: SpatialTemporalGraph) -> ItemResult:
-        action = safety_action_from_graph(graph)
-        return ItemResult(action=action, verdict=Verdict.DEGRADED_FALLBACK,
-                          level=ServiceLevel.SAFETY_FALLBACK)
+    def _safety_result(self, graph: SpatialTemporalGraph,
+                       degraded_rows: int = 0) -> ItemResult:
+        return ItemResult(action=safety_action_from_graph(graph),
+                          verdict=Verdict.DEGRADED_FALLBACK,
+                          level=ServiceLevel.SAFETY_FALLBACK,
+                          degraded_rows=degraded_rows)

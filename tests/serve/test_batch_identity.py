@@ -10,6 +10,10 @@ Two properties the batcher's canonical ordering guarantees:
    stacking, so any interleaving of the same requests produces
    bit-identical per-request actions.
 
+3. Bad requests (non-finite or malformed graphs) are quarantined by
+   row: every clean request's answer is bitwise the answer of the same
+   batch with the bad requests removed.
+
 (What is deliberately NOT claimed: invariance across different batch
 *memberships*.  BLAS kernels pick different block schedules for
 different stacked shapes, which can shift results by an ulp -- see
@@ -23,8 +27,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.decision.pamdp import augmented_state_from_graph
+from repro.faults.service import poison_graph
 from repro.serve import (BatcherConfig, InferenceServer, ServerConfig,
-                         Verdict, make_graph_pool)
+                         ServiceLevel, Verdict, make_graph_pool)
+from tests.serve.malformed import five_target_graph, short_history_graph
 
 SLOW_SETTINGS = settings(
     max_examples=8, deadline=None,
@@ -88,3 +94,37 @@ def test_arrival_order_never_changes_results(head, engine, order, seed):
         assert baseline[rid].behavior is permuted[rid].behavior
         assert (np.float64(baseline[rid].accel).tobytes()
                 == np.float64(permuted[rid].accel).tobytes())
+
+
+#: How a drawn request is spoiled; ``None`` leaves it clean.
+SPOILERS = (None, None, poison_graph, five_target_graph, short_history_graph)
+
+
+@given(data=st.data(),
+       level=st.sampled_from([ServiceLevel.FULL_HEAD,
+                              ServiceLevel.CV_PERCEPTION]))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bad_requests_never_change_their_batchmates_answers(head, engine,
+                                                            data, level):
+    pool = make_graph_pool(16, seed=11,
+                           history_steps=head.config.history_steps)
+    members = data.draw(st.lists(st.integers(0, 15), min_size=1, max_size=16,
+                                 unique=True), label="members")
+    spoilers = data.draw(st.lists(st.sampled_from(SPOILERS),
+                                  min_size=len(members),
+                                  max_size=len(members)), label="spoilers")
+    graphs = [pool[index] if spoil is None else spoil(pool[index])
+              for index, spoil in zip(members, spoilers)]
+    clean = [graph for graph, spoil in zip(graphs, spoilers) if spoil is None]
+
+    results = engine.infer(graphs, level)
+    alone = iter(engine.infer(clean, level))
+    for result, spoil in zip(results, spoilers):
+        if spoil is not None:
+            assert result.verdict is Verdict.DEGRADED_FALLBACK
+            continue
+        expected = next(alone)
+        assert result == expected
+        assert (np.float64(result.action.accel).tobytes()
+                == np.float64(expected.action.accel).tobytes())

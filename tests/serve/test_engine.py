@@ -1,4 +1,6 @@
-"""BatchInferenceEngine: ladder rungs, poisoned inputs, TTC gate."""
+"""BatchInferenceEngine: ladder rungs, quarantined inputs, guard frames, TTC gate."""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from repro.decision.safety import _CONTACT_GAP, front_ttc_from_graph
 from repro.faults.guard import PerceptionGuard
 from repro.faults.service import poison_graph
 from repro.perception.graph import SpatialTemporalGraph
-from repro.serve import BatchInferenceEngine, ServiceLevel, Verdict
+from repro.serve import (BatcherConfig, BatchInferenceEngine, InferenceServer,
+                         ServerConfig, ServiceLevel, Verdict)
 from repro.serve.engine import safety_action_from_graph
 from repro.sim import constants
+from tests.serve.malformed import (five_target_graph, short_history_graph,
+                                   unreadable_graph)
 
 
 def test_full_head_answers_every_graph(engine, pool):
@@ -51,6 +56,71 @@ def test_poisoned_graph_is_quarantined(engine, pool):
     clean = engine.infer([pool[0], pool[2]], ServiceLevel.FULL_HEAD)
     assert results[0].action == clean[0].action
     assert results[2].action == clean[1].action
+
+
+@pytest.mark.parametrize("malform", [five_target_graph, short_history_graph])
+@pytest.mark.parametrize("level", [ServiceLevel.FULL_HEAD,
+                                   ServiceLevel.CV_PERCEPTION],
+                         ids=["full_head", "cv_perception"])
+def test_malformed_graph_is_quarantined(engine, pool, malform, level):
+    graphs = [pool[0], malform(pool[1]), pool[2]]
+    results = engine.infer(graphs, level)
+    assert results[1].verdict is Verdict.DEGRADED_FALLBACK
+    assert results[1].level is ServiceLevel.SAFETY_FALLBACK
+    assert results[1].degraded_rows == 6
+    assert results[1].action == safety_action_from_graph(graphs[1])
+    # Its batchmates get the answers they get without it, bitwise.
+    assert [results[0], results[2]] == engine.infer([pool[0], pool[2]], level)
+    assert results[0].level is level
+
+
+@pytest.mark.parametrize("field", ["target_features", "contributor_features",
+                                   "ego_features", "target_mask"])
+def test_a_nan_in_any_array_quarantines_its_graph(engine, pool, field):
+    arrays = {name: getattr(pool[1], name).copy()
+              for name in ("target_features", "contributor_features",
+                           "target_mask", "ego_features")}
+    arrays[field].reshape(-1)[-1] = np.nan
+    graphs = [pool[0], SpatialTemporalGraph(**arrays), pool[2]]
+    results = engine.infer(graphs, ServiceLevel.FULL_HEAD)
+    assert results[1].verdict is Verdict.DEGRADED_FALLBACK
+    assert [results[0], results[2]] == engine.infer([pool[0], pool[2]],
+                                                    ServiceLevel.FULL_HEAD)
+
+
+def test_unreadable_graph_brakes_and_spares_its_batchmate(engine, pool):
+    results = engine.infer([unreadable_graph(), pool[0]],
+                           ServiceLevel.FULL_HEAD)
+    assert results[0].verdict is Verdict.DEGRADED_FALLBACK
+    assert results[0].action.accel == -constants.A_MAX
+    assert results[1] == engine.infer([pool[0]], ServiceLevel.FULL_HEAD)[0]
+    assert results[1].verdict is Verdict.OK
+
+
+def test_only_bad_graphs_all_get_safety_answers(engine, pool):
+    graphs = [poison_graph(pool[0]), five_target_graph(pool[1])]
+    results = engine.infer(graphs, ServiceLevel.FULL_HEAD)
+    assert [result.verdict for result in results] == [
+        Verdict.DEGRADED_FALLBACK, Verdict.DEGRADED_FALLBACK]
+
+
+def test_malformed_request_does_not_sink_its_micro_batch(engine, pool):
+    graphs = [pool[0], five_target_graph(pool[1]), pool[2]]
+
+    async def scenario():
+        server = InferenceServer(engine, ServerConfig(
+            batcher=BatcherConfig(max_batch=8, batch_window=0.05)))
+        await server.start()
+        futures = [server.submit_nowait(graph) for graph in graphs]
+        responses = await asyncio.gather(*futures)
+        report = server.health_report()
+        await server.stop()
+        return responses, report
+
+    responses, report = asyncio.run(scenario())
+    assert [response.verdict for response in responses] == [
+        Verdict.OK, Verdict.DEGRADED_FALLBACK, Verdict.OK]
+    assert report.handler_failures_total == 0
 
 
 def test_empty_batch_is_empty(engine):
@@ -118,3 +188,34 @@ def test_safety_brakes_when_ttc_below_threshold(pool):
     graph = SpatialTemporalGraph(features, base.contributor_features,
                                  base.target_mask, base.ego_features)
     assert safety_action_from_graph(graph).accel == -constants.A_MAX
+
+
+class NaNForPhantoms:
+    """A raw predictor whose rows for unobserved targets are NaN (row-wise)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, graph):
+        prediction = np.array(self.inner.predict(graph), dtype=np.float64)
+        prediction[graph.target_mask == 0] = np.nan
+        return prediction
+
+
+def test_guard_counts_one_frame_per_served_graph(head, pool):
+    before = head.guard.stats.frames
+    BatchInferenceEngine.from_head(head).infer(pool[:8], ServiceLevel.FULL_HEAD)
+    assert head.guard.stats.frames == before + 8
+
+
+def test_served_guard_stats_equal_a_per_graph_predict_loop(head, pool):
+    served = PerceptionGuard(NaNForPhantoms(head.predictor))
+    looped = PerceptionGuard(NaNForPhantoms(head.predictor))
+    results = BatchInferenceEngine(head.agent, served).infer(
+        pool[:8], ServiceLevel.FULL_HEAD)
+    for graph in pool[:8]:
+        looped.predict(graph)
+    assert served.stats == looped.stats
+    assert served.stats.degraded_frames > 0
+    assert [result.degraded_rows for result in results] == [
+        int((graph.target_mask == 0).sum()) for graph in pool[:8]]
