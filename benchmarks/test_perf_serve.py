@@ -2,9 +2,12 @@
 
 Sweeps the batcher's ``batch_window`` -- the central latency/throughput
 dial -- under a fixed seeded open-loop load and records, per setting:
-p50/p99 answered latency, sustained answered req/s, shed rate, and mean
-batch occupancy.  Results land in ``BENCH_serve.json`` at the repo root
-with git/config provenance stamps.
+p50/p99 answered latency, sustained answered req/s, shed rate, mean
+batch occupancy, and the process's minor page faults per answered
+request while the load ran (``getrusage``; a process that sets up once
+and then serves shows its allocator's page churn here).  Results land
+in ``BENCH_serve.json`` at the repo root with git/config provenance
+stamps.
 
 ``REPRO_BENCH_SERVE_PROFILE=smoke`` shrinks duration and offered rate
 for CI.  The run is structural, not gated on absolute numbers: shared
@@ -14,6 +17,7 @@ resolved, all windows measured) must hold everywhere.
 
 import asyncio
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -47,7 +51,9 @@ async def _measure(engine, window: float, profile: dict, pool) -> dict:
     load = LoadProfile(duration=profile["duration"], rate=profile["rate"],
                        burst_rate=profile["burst_rate"], burst_every=0.5,
                        burst_length=0.1, deadline_budget=0.5, seed=7)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     report = await run_load(client, load, pool)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     await server.stop()
     health = server.health_report()
     return {
@@ -60,6 +66,7 @@ async def _measure(engine, window: float, profile: dict, pool) -> dict:
         "p50_latency_ms": report.latency_quantile(0.50) * 1e3,
         "p99_latency_ms": report.latency_quantile(0.99) * 1e3,
         "batch_occupancy": health.batch_occupancy,
+        "minor_faults_per_request": faults / max(report.answered, 1),
         "rejected": health.rejected_total,
         "shed_expired": health.shed_expired_total,
         "verdicts": report.verdict_counts(),

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..perception.module import EnhancedPerception, PerceptionFrame
+from ..perception.sensor import WorldArrays
 from ..sim import constants
 from ..sim.engine import SimulationEngine
 from ..sim.road import Road
@@ -24,7 +25,7 @@ from .pamdp import AugmentedState, ParameterizedAction
 from .reward import HybridReward, RewardBreakdown, StepOutcome
 
 __all__ = ["StepRecord", "EpisodeResult", "DrivingEnv",
-           "build_step_outcome", "build_step_record", "population_arrays"]
+           "build_step_outcome", "build_step_record"]
 
 
 @dataclass(frozen=True)
@@ -185,28 +186,16 @@ def build_step_outcome(engine: SimulationEngine, av: Vehicle | None,
     )
 
 
-def population_arrays(engine: SimulationEngine
-                      ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(vids, lon, v) arrays of the live population, in dict order.
-
-    The trailing scan of :func:`build_step_record` needs them for every
-    ego against the same post-step world; a fleet computes them once per
-    step and passes them to each record build.  Dict (insertion) order
-    fixes the summation order of ``trailing_mean_velocity``.
-    """
-    order = engine.arrival_order()
-    return list(engine.vehicles), engine.columns.lon[order], engine.columns.v[order]
-
-
 def build_step_record(engine: SimulationEngine, av: Vehicle | None,
                       outcome: StepOutcome, breakdown: RewardBreakdown,
                       collided: bool, step: int,
-                      velocity_threshold: float,
-                      population: tuple[list[str], np.ndarray, np.ndarray]
+                      velocity_threshold: float, world: WorldArrays
                       ) -> StepRecord:
     """Raw metric record for one executed step of one ego.
 
-    ``population`` is :func:`population_arrays` of the post-step world.
+    ``world`` is the post-step snapshot, shared by every ego's record.
+    Its rows follow insertion order, which fixes the summation order of
+    ``trailing_mean_velocity``.
     """
     ttc = None
     if (outcome.front_gap_next is not None and outcome.front_closing_speed is not None
@@ -224,11 +213,10 @@ def build_step_record(engine: SimulationEngine, av: Vehicle | None,
     trailing: list[str] = []
     velocities = np.zeros(0)
     if av is not None and av.vid in engine.vehicles:
-        vids, lons, speeds = population
-        behind = av.lon - lons
+        behind = av.lon - world.lon
         rows = np.flatnonzero((behind > 0.0) & (behind <= 100.0))
-        trailing = [vids[row] for row in rows]
-        velocities = speeds[rows]
+        trailing = [world.ids[row] for row in rows]
+        velocities = world.v[rows]
     return StepRecord(
         step=step,
         av_velocity=av.v if av is not None else 0.0,

@@ -42,7 +42,7 @@ from ..sim.spawn import build_fleet_episode, fleet_vids
 from ..sim.vehicle import Vehicle
 from .agents import PamdpAgent
 from .environment import (EpisodeResult, StepRecord, build_step_outcome,
-                          build_step_record, population_arrays)
+                          build_step_record)
 from .pamdp import AugmentedState, ParameterizedAction, augmented_state_from_graph
 from .reward import HybridReward, RewardBreakdown
 
@@ -228,7 +228,7 @@ class FleetEnv:
         breakdowns: dict[str, RewardBreakdown] = {}
         records: dict[str, StepRecord] = {}
         crashed: list[str] = []
-        population = population_arrays(engine)
+        world = WorldArrays.from_engine(engine)
         for vid in active:
             action, accel_prev, rear_id, rear_v_before, rear_is_av = pre[vid]
             collided = any(event.vehicle_id == vid or event.other_id == vid
@@ -243,7 +243,7 @@ class FleetEnv:
             record = build_step_record(engine, av_after, outcome, breakdown,
                                        collided, self._steps,
                                        self.reward.velocity_threshold,
-                                       population=population)
+                                       world)
             result = self.results[vid]
             result.records.append(record)
             result.steps = self._steps
@@ -266,28 +266,34 @@ class FleetEnv:
         # Phase 3: while the episode goes on, crashed AVs leave the world
         # (not "retired" -- they did not finish) and survivors keep
         # driving around the wreck site.  An episode that is over keeps
-        # the world its last step left, wreck included.
+        # the world its last step left, wreck included.  The records'
+        # snapshot serves the next perception unless a wreck left.
         done = self.done()
         next_states: dict[str, AugmentedState] = {}
         if not done:
-            engine.discard_vehicles(crashed)
-            next_states = self._perceive_active()
+            if crashed:
+                engine.discard_vehicles(crashed)
+                world = WorldArrays.from_engine(engine)
+            next_states = self._perceive_active(world)
         return next_states, breakdowns, done, records
 
     # ------------------------------------------------------------------
     # batched perception
     # ------------------------------------------------------------------
-    def _perceive_active(self) -> dict[str, AugmentedState]:
+    def _perceive_active(self, world: WorldArrays | None = None
+                         ) -> dict[str, AugmentedState]:
         """One perception cycle for every active AV, one stacked forward.
 
         Per-AV sensing/graph assembly runs in canonical order (each AV
-        owns its tracker state); the M predictor forwards collapse into
-        a single ``predict_many`` call over the concatenated graphs --
-        bit-identical per AV to a single-ego
+        owns its tracker state) against ``world``, a snapshot of the
+        engine as it stands (taken here when not given); the M predictor
+        forwards collapse into a single ``predict_many`` call over the
+        concatenated graphs -- bit-identical per AV to a single-ego
         :meth:`~repro.perception.module.EnhancedPerception.perceive`.
         """
         engine = self.engine
-        world = WorldArrays.from_engine(engine)
+        if world is None:
+            world = WorldArrays.from_engine(engine)
         perceptions = dict(zip(self.av_ids, self.perceptions))
         active = self.active_ids()
         scenes = []

@@ -55,13 +55,17 @@ class WorldArrays:
     order.
     """
 
-    __slots__ = ("ids", "position", "lane", "lon", "v", "lat_m")
+    __slots__ = ("ids", "lane", "lon", "v", "lat_m")
 
     def __init__(self, ids: list[str], lane: np.ndarray, lon: np.ndarray,
                  v: np.ndarray, road: Road) -> None:
         self.ids, self.lane, self.lon, self.v = ids, lane, lon, v
-        self.position = {vid: row for row, vid in enumerate(ids)}
         self.lat_m = lane * road.lane_width
+
+    @property
+    def position(self) -> dict[str, int]:
+        """The row of every vehicle id."""
+        return {vid: row for row, vid in enumerate(self.ids)}
 
     @classmethod
     def from_states(cls, world: dict[str, VehicleState], road: Road) -> "WorldArrays":
@@ -132,7 +136,10 @@ class Sensor:
         arrays = world if isinstance(world, WorldArrays) \
             else WorldArrays.from_states(world, road)
         ids, lon, lat_m = arrays.ids, arrays.lon, arrays.lat_m
-        ego_row = arrays.position.get(ego_id)
+        try:
+            ego_row = ids.index(ego_id)
+        except ValueError:   # an ego outside the snapshot
+            ego_row = None
         ego_y = ego.lat * road.lane_width
         range_dx = lon - ego.lon
         range_dy = lat_m - ego_y

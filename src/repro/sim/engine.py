@@ -23,6 +23,7 @@ past states are kept; perception keeps its own sensed tracks.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -63,30 +64,33 @@ def _abort_conflicting_changes(movers: np.ndarray, keepers: np.ndarray,
     """Cancel, in row order, each lane change whose claimed interval
     overlaps a keeper's claim in its target lane or an earlier mover's.
 
-    ``lane_delta``, ``target`` and ``cooldown`` are updated in place; an
-    aborted mover claims its interval in its own lane instead.
+    ``movers`` and ``keepers`` are disjoint row masks.  ``lane_delta``,
+    ``target`` and ``cooldown`` are updated in place; an aborted mover
+    claims its interval in its own lane instead.  Keepers' targets do
+    not change here, so every mover is tested against every keeper claim
+    in one comparison; only the movers' claims on each other are walked
+    in row order.
     """
-    keeper_claims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    rows = np.flatnonzero(movers)
+    kept = np.flatnonzero(keepers)
+    lows, highs, lanes_to = claim_lo[rows], claim_hi[rows], target[rows]
+    blocked = ((lanes_to[:, None] == target[kept])
+               & (lows[:, None] < claim_hi[kept])
+               & (claim_lo[kept] < highs[:, None])).any(axis=1)
     mover_claims: dict[int, list[tuple[float, float]]] = {}
-    for row in np.flatnonzero(movers):
-        lane_to = int(target[row])
-        if lane_to not in keeper_claims:
-            mask = keepers & (target == lane_to)
-            keeper_claims[lane_to] = (claim_lo[mask], claim_hi[mask])
-        lows, highs = keeper_claims[lane_to]
-        overlapping = bool(np.any((claim_lo[row] < highs)
-                                  & (lows < claim_hi[row])))
+    for row, low, high, lane_to, overlapping in zip(
+            rows.tolist(), lows.tolist(), highs.tolist(), lanes_to.tolist(),
+            blocked.tolist()):
         if not overlapping:
-            for low, high in mover_claims.get(lane_to, ()):
-                if claim_lo[row] < high and low < claim_hi[row]:
-                    overlapping = True
-                    break
+            overlapping = any(low < other_high and other_low < high
+                              for other_low, other_high
+                              in mover_claims.get(lane_to, ()))
         if overlapping:
             lane_delta[row] = 0
             target[row] = lane[row]
             cooldown[row] = 0
             lane_to = int(lane[row])
-        mover_claims.setdefault(lane_to, []).append((claim_lo[row], claim_hi[row]))
+        mover_claims.setdefault(lane_to, []).append((low, high))
 
 
 @dataclass(frozen=True)
@@ -162,58 +166,66 @@ class SimulationEngine:
         The one-vehicle case of :meth:`add_vehicles`: the engine adopts
         the handle, and its reads and writes go to its new row.
         """
-        self._adopt([vehicle], vehicle._table.take([vehicle._row]))
+        self._adopt([vehicle.vid], vehicle._table.take([vehicle._row]), [vehicle])
         return vehicle
 
-    def add_vehicles(self, vids: list[str], rows: VehicleColumns) -> list[Vehicle]:
+    def add_vehicles(self, vids: Sequence[str], rows: VehicleColumns) -> list[Vehicle]:
         """Register one vehicle per row of ``rows``; return their handles."""
         if len(vids) != len(rows.lon):
             raise ValueError(f"{len(vids)} ids for {len(rows.lon)} rows")
-        handles = [object.__new__(Vehicle) for _ in vids]
-        for handle, vid in zip(handles, vids):
-            handle.vid, handle.finish_time = vid, None
-        self._adopt(handles, rows)
-        return handles
+        return self._adopt(vids, rows)
 
-    def _adopt(self, handles: list[Vehicle], rows: VehicleColumns) -> None:
-        """Merge ``rows`` (row k behind ``handles[k]``) into the columns.
+    def _adopt(self, vids: Sequence[str], rows: VehicleColumns,
+               handles: list[Vehicle] | None = None) -> list[Vehicle]:
+        """Merge ``rows`` (row k for ``vids[k]``) into the columns; return
+        the handles in ``vids`` order.
 
-        Only the batch is sorted; each new id is bisected into the rows,
-        which are already sorted, and the handles are renumbered from the
-        first row that moved.
+        ``handles`` are existing handles to adopt; without them a new
+        handle is made per row.  Only the batch is sorted; each new id is
+        bisected into the rows, which are already sorted, and the handles
+        are renumbered from the first row that moved.
         """
-        vids = [handle.vid for handle in handles]
-        seen: set[str] = set()
-        for vid in vids:
-            if vid in seen or vid in self.vehicles:
-                raise ValueError(f"duplicate vehicle id {vid!r}")
-            seen.add(vid)
+        new = set(vids)
+        if len(new) < len(vids) or not new.isdisjoint(self.vehicles):
+            seen: set[str] = set()
+            for vid in vids:
+                if vid in seen or vid in self.vehicles:
+                    raise ValueError(f"duplicate vehicle id {vid!r}")
+                seen.add(vid)
         invalid = np.flatnonzero((rows.lane < 1) | (rows.lane > self.road.num_lanes))
         if invalid.size:
             raise ValueError(f"vehicle {vids[invalid[0]]!r} placed on invalid "
                              f"lane {rows.lane[invalid[0]]}")
-        if not handles:
-            return
+        if not vids:
+            return []
         batch_order = sorted(range(len(vids)), key=vids.__getitem__)
         taken = np.array(batch_order)
         batch = rows.take(taken)
         batch.spawn_time[:] = self.step_count
         batch.arrival[:] = taken + self._arrivals
         self._arrivals += len(vids)
-        table, ordered = self.columns, [handles[k] for k in batch_order]
+        table = self.columns
+        if handles is None:
+            handles = [None] * len(vids)
+            for row, k in enumerate(batch_order):
+                handle = handles[k] = object.__new__(Vehicle)
+                handle.vid, handle.finish_time = vids[k], None
+                handle._table, handle._row = table, row
+        else:
+            for row, k in enumerate(batch_order):
+                handles[k]._table, handles[k]._row = table, row
+        ordered = [handles[k] for k in batch_order]
         if self._rows:
-            at = [bisect_left(self._rows, handle.vid, key=_vid) for handle in ordered]
+            at = [bisect_left(self._rows, vids[k], key=_vid) for k in batch_order]
             table.assign(table.merge(at, batch))
             for row, handle in zip(reversed(at), reversed(ordered)):
-                handle._table = table
                 self._rows.insert(row, handle)
             self._renumber(at[0])
         else:
             table.assign(batch)
             self._rows = ordered
-            for row, handle in enumerate(ordered):
-                handle._table, handle._row = table, row
         self.vehicles.update(zip(vids, handles))
+        return handles
 
     def remove_vehicle(self, vid: str) -> None:
         """Retire a vehicle (e.g. it finished the road).

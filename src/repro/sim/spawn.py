@@ -9,6 +9,10 @@ heterogeneous as NGSIM-like real data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import astuple
+from functools import lru_cache
+
 import numpy as np
 
 from ..seeding import default_generator
@@ -18,8 +22,7 @@ from .road import Road
 from .vehicle import DriverProfile, ProfileArrays, Vehicle, VehicleColumns, VehicleState
 
 __all__ = ["random_profile", "populate_traffic", "insert_autonomous_vehicle",
-           "build_episode", "fleet_vids", "insert_autonomous_fleet",
-           "build_fleet_episode"]
+           "build_episode", "fleet_vids", "build_fleet_episode"]
 
 #: Clear space (m) kept around the AV spawn point so episodes start fair.
 SPAWN_CLEARANCE = 30.0
@@ -74,19 +77,41 @@ def _window_slots(offset: float, spacing: float, per_lane: int, top: float,
     A slot's jitter reaches a quarter spacing either way; the reach is
     widened by a billionth of the road so rounding cannot put a slot
     outside it.  Both ends of the reach grow with the slot index, so
-    the slots that reach the window are contiguous.  No window, or none
-    reaching it, gives the empty run ``[per_lane, per_lane)``.
+    the slots that reach the window are contiguous and two bisections
+    over the slot indices find them.  No window, or none reaching it,
+    gives the empty run ``[per_lane, per_lane)``.
     """
     if keep_clear is None:
         return per_lane, per_lane
-    slots = np.arange(per_lane)
     margin = 1e-9 * (top + 1.0)
-    low = np.maximum(offset + (slots - 0.25) * spacing - margin, 0.0)
-    high = np.minimum(offset + (slots + 0.25) * spacing + margin, top)
-    reach = np.flatnonzero((high >= keep_clear[0]) & (low <= keep_clear[1]))
-    if reach.size == 0:
+    slots = range(per_lane)
+    first = bisect_left(slots, True, key=lambda slot: min(
+        offset + (slot + 0.25) * spacing + margin, top) >= keep_clear[0])
+    stop = bisect_left(slots, True, key=lambda slot: max(
+        offset + (slot - 0.25) * spacing - margin, 0.0) > keep_clear[1])
+    if first >= stop:
         return per_lane, per_lane
-    return int(reach[0]), int(reach[-1]) + 1
+    return first, stop
+
+
+def _placed(lane: np.ndarray, lon: np.ndarray, min_space: float) -> np.ndarray:
+    """Rows kept by the overlap skip (rows lane by lane, in increasing
+    longitude): a candidate closer than ``min_space`` to the last vehicle
+    placed in its lane is skipped.
+
+    A row at least ``min_space`` ahead of the row before it is always
+    placed, since the last vehicle placed is no further ahead than that
+    row; only the rows closer than that to their predecessor are walked.
+    """
+    placed = np.ones(len(lon), dtype=bool)
+    close = (lane[1:] == lane[:-1]) & (lon[1:] - lon[:-1] < min_space)
+    for row in (np.flatnonzero(close) + 1).tolist():
+        last = row - 1
+        while not placed[last]:
+            last -= 1
+        if lon[row] - lon[last] < min_space:
+            placed[row] = False
+    return placed
 
 
 def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
@@ -97,96 +122,135 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
     Vehicles are spread across lanes with jittered spacing and speeds
     near their desired speed.  ``keep_clear=(lon_min, lon_max)``
     reserves that stretch on every lane, so insertion of the autonomous
-    vehicle cannot start inside a platoon.
+    vehicle cannot start inside a platoon.  Raises ``ValueError`` on a
+    populated engine, whose vehicles the placement would not see.  The
+    engine adopts every lane's vehicles in one batch.
+    """
+    if engine.vehicles:
+        raise ValueError("populate_traffic needs an empty engine")
+    lane, rows = _traffic(engine.road, rng, density_per_km, keep_clear)
+    return engine.add_vehicles(_cv_ids(len(lane)), _columns(lane, rows))
+
+
+def _traffic(road: Road, rng: np.random.Generator, density_per_km: float,
+             keep_clear: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw, place and equilibrate :func:`populate_traffic`'s vehicles.
+
+    Returns each vehicle's lane and its row of longitude, speed and the
+    eight profile fields, in the order the engine adopts them.
 
     Each slot draws the ten uniforms of ``_SPAWN_BOUNDS`` in order,
     except that a slot landing in ``keep_clear`` stops after its
     jitter.  Slots that cannot reach the window draw as one
     ``(n, 10)`` block, which consumes the stream exactly as the
     slot-by-slot draws would; the few that can draw one at a time.
-
-    A lane's slots come out in increasing longitude (the jitter is under
-    half the spacing), so a candidate can only overlap the vehicle last
-    placed in its lane; raises ``ValueError`` on a populated engine,
-    whose vehicles this placement would not see.  The engine adopts
-    every lane's vehicles in one batch.
+    Once every lane has drawn, longitudes, profiles, speeds and the
+    overlap skip are computed for all lanes at once.  A lane's slots
+    come out in increasing longitude (the jitter is under half the
+    spacing), so a candidate can only overlap the vehicle last placed
+    in its lane.
     """
-    if engine.vehicles:
-        raise ValueError("populate_traffic needs an empty engine")
-    road = engine.road
     total = int(round(density_per_km * road.length / 1000.0))
     per_lane = max(total // road.num_lanes, 1)
     spacing = road.length / per_lane
     min_space = constants.VEHICLE_LENGTH + 1.0
     top = road.length - 1.0
-    lanes: list[int] = []
-    spawned: list[np.ndarray] = []   # per lane: lon, speed, profile
-    for lane in range(1, road.num_lanes + 1):
+    offsets: list[float] = []
+    units: list[np.ndarray] = []
+    landed: list[int] = []   # slots (lane-major) that landed in keep_clear
+    for lane in range(road.num_lanes):
         offset = rng.uniform(0.0, spacing)
+        offsets.append(offset)
         first, stop = _window_slots(offset, spacing, per_lane, top, keep_clear)
-        slots = list(range(first))
-        units = [rng.random((first, _DRAWS))]
+        units.append(rng.random((first, _DRAWS)))
         for slot in range(first, stop):
             jitter = rng.random()
             if keep_clear[0] <= _slot_lon(offset, slot, spacing, top, jitter) <= keep_clear[1]:
+                landed.append(lane * per_lane + slot)
                 continue
-            slots.append(slot)
             units.append(np.append(jitter, rng.random(_DRAWS - 1))[np.newaxis])
-        slots.extend(range(stop, per_lane))
         units.append(rng.random((per_lane - stop, _DRAWS)))
-        unit = np.concatenate(units)
-        lon = _slot_lon(offset, np.array(slots), spacing, top, unit[:, 0])
-        values = _LOW + _SPAN * unit
-        values[:, 1] *= road.v_max
-        velocity = np.minimum(np.maximum(values[:, 1] * values[:, 9], road.v_min),
-                              road.v_max)
-        # Skip placements that would overlap the previous vehicle.
-        placed: list[int] = []
-        previous: float | None = None
-        for slot, lon_next in enumerate(lon.tolist()):
-            if previous is not None and lon_next - previous < min_space:
-                continue
-            placed.append(slot)
-            previous = lon_next
-        lanes += [lane] * len(placed)
-        spawned.append(np.column_stack((lon, velocity, values[:, _PROFILE]))[placed])
-    block = np.concatenate(spawned)
-    created = engine.add_vehicles(
-        [f"cv{index}" for index in range(len(lanes))],
-        VehicleColumns(ProfileArrays(*block[:, 2:].T), lane=lanes,
-                       lon=block[:, 0], v=block[:, 1]))
-    _equilibrate_speeds(engine)
-    return created
+    unit = np.concatenate(units)
+    kept = np.ones(road.num_lanes * per_lane, dtype=bool)
+    kept[landed] = False
+    lanes = np.repeat(np.arange(1, road.num_lanes + 1), per_lane)[kept]
+    slots = np.tile(np.arange(per_lane), road.num_lanes)[kept]
+    offset = np.repeat(offsets, per_lane)[kept]
+    lon = _slot_lon(offset, slots, spacing, top, unit[:, 0])
+    values = _LOW + _SPAN * unit
+    values[:, 1] *= road.v_max
+    velocity = np.minimum(np.maximum(values[:, 1] * values[:, 9], road.v_min),
+                          road.v_max)
+    placed = _placed(lanes, lon, min_space)
+    lanes, lon, values = lanes[placed], lon[placed], values[placed]
+    speed = _equilibrated(lanes, lon, lon - constants.VEHICLE_LENGTH,
+                          values[:, 3], values[:, 5],   # min_gap, comfort_decel
+                          velocity[placed])
+    return lanes, np.column_stack((lon, speed, values[:, _PROFILE]))
 
 
-def _equilibrate_speeds(engine: SimulationEngine) -> None:
-    """Cap initial speeds so the starting state is dynamically feasible.
+def _columns(lane: np.ndarray, rows: np.ndarray,
+             is_autonomous: bool | np.ndarray = False) -> VehicleColumns:
+    """Vehicle columns from lanes and ``_traffic``'s rows."""
+    return VehicleColumns(ProfileArrays(*rows[:, 2:].T), lane=lane, lon=rows[:, 0],
+                          v=rows[:, 1], is_autonomous=is_autonomous)
+
+
+@lru_cache(maxsize=8)
+def _cv_ids(count: int) -> tuple[str, ...]:
+    """The ids of ``count`` spawned conventional vehicles, ``cv0`` on.
+
+    Cached: formatting a paper road's 540 ids costs about as much as
+    equilibrating its speeds.
+    """
+    return tuple(f"cv{index}" for index in range(count))
+
+
+def _equilibrated(lane: np.ndarray, lon: np.ndarray, rear: np.ndarray,
+                  min_gap: np.ndarray, comfort_decel: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """Initial speeds capped so the starting state is dynamically feasible.
 
     Sampled speeds can be inconsistent with sampled gaps (a fast
     follower close behind a slow leader cannot avoid a crash no matter
-    what it does).  Walking each lane front to back (equal longitudes
-    in the order the vehicles were added), each vehicle's speed is
-    limited to the Krauss safe speed for its actual leader, so episodes
-    never begin in a doomed configuration.
+    what it does).  In each lane, front to back (equal longitudes in
+    row order), each vehicle's speed is limited to the Krauss safe speed
+    for its actual leader, so episodes never begin in a doomed
+    configuration.
+
+    A follower's cap depends on its own sampled speed and its leader's
+    capped speed.  The first round caps every follower against its
+    leader's sampled speed; each later round recomputes, from the
+    sampled speed, the followers whose leader changed in the round
+    before.  The rounds end when nothing changes, which leaves every
+    speed at the cap its capped leader sets: the front-to-back walk's
+    result, since the chain from each lane's front fixes it.
     """
-    columns = engine.columns
-    order = np.lexsort((columns.arrival, -columns.lon, columns.lane))
-    lane, lon, rear, min_gap, comfort_decel, v = (
-        column[order].tolist() for column in (
-            columns.lane, columns.lon, columns.lon - columns.length,
-            columns.profiles.min_gap, columns.profiles.comfort_decel, columns.v))
+    order = np.lexsort((-lon, lane))   # stable: ties stay in row order
+    lane, lon, rear, min_gap, comfort_decel, sampled = (
+        column[order] for column in (lane, lon, rear, min_gap, comfort_decel, v))
+    # Row k's leader is row k - 1; its gap and braking term do not depend
+    # on any speed.
+    gap = np.concatenate(([0.0], rear[:-1] - lon[1:] - min_gap[1:]))
+    gap = np.where(0.0 > gap, 0.0, gap)     # max(gap, 0.0)
+    twice_brake = 2.0 * comfort_decel
+    capped = sampled.copy()
+    followers = np.flatnonzero(lane[1:] == lane[:-1]) + 1
+    has_leader = np.zeros(len(capped) + 1, dtype=bool)
+    has_leader[followers] = True
     tau = 1.0
-    for leader in range(len(order) - 1):
-        follower = leader + 1
-        if lane[follower] != lane[leader]:
-            continue
-        gap = max(rear[leader] - lon[follower] - min_gap[follower], 0.0)
-        brake = comfort_decel[follower]
-        v_safe = v[leader] + (gap - v[leader] * tau) / ((v[follower] + v[leader]) / (2.0 * brake) + tau)
-        v_safe = max(v_safe, 0.0)
-        if v[follower] > v_safe:
-            v[follower] = v_safe
-    columns.v[order] = v
+    while followers.size:
+        leader_v, own_v = capped[followers - 1], sampled[followers]
+        v_safe = leader_v + (gap[followers] - leader_v * tau) / (
+            (own_v + leader_v) / twice_brake[followers] + tau)
+        v_safe = np.where(0.0 > v_safe, 0.0, v_safe)
+        cap = np.where(own_v > v_safe, v_safe, own_v)
+        moved = followers[cap != capped[followers]] + 1
+        capped[followers] = cap
+        followers = moved[has_leader[moved]]
+    speed = np.empty_like(capped)
+    speed[order] = capped
+    return speed
 
 
 def replenish_traffic(engine: SimulationEngine, rng: np.random.Generator,
@@ -225,17 +289,19 @@ def replenish_traffic(engine: SimulationEngine, rng: np.random.Generator,
     return created
 
 
+def _autonomous_draw(rng: np.random.Generator, road: Road) -> tuple[int, float]:
+    """An AV's random lane and initial speed, in stream order."""
+    lane = int(rng.integers(1, road.num_lanes + 1))
+    return lane, float(rng.uniform(0.5, 0.8) * road.v_max)
+
+
 def insert_autonomous_vehicle(engine: SimulationEngine, rng: np.random.Generator,
                               vid: str = "av") -> Vehicle:
     """Place the AV at the road origin on a random lane (paper setup)."""
-    road = engine.road
-    lane = int(rng.integers(1, road.num_lanes + 1))
-    vehicle = Vehicle(
-        vid=vid,
-        state=VehicleState(lat=lane, lon=0.0, v=float(rng.uniform(0.5, 0.8) * road.v_max)),
-        is_autonomous=True,
-    )
-    return engine.add_vehicle(vehicle)
+    lane, velocity = _autonomous_draw(rng, engine.road)
+    return engine.add_vehicle(Vehicle(
+        vid=vid, state=VehicleState(lat=lane, lon=0.0, v=velocity),
+        is_autonomous=True))
 
 
 def fleet_vids(count: int) -> list[str]:
@@ -253,50 +319,46 @@ def fleet_vids(count: int) -> list[str]:
     return ["av"] + [f"av{index:0{width}d}" for index in range(1, count)]
 
 
-def insert_autonomous_fleet(engine: SimulationEngine, rng: np.random.Generator,
-                            count: int = 1) -> list[Vehicle]:
-    """Place ``count`` AVs: the first exactly like the single-AV setup.
-
-    AV 0 spawns at the road origin via :func:`insert_autonomous_vehicle`
-    with the same RNG draws, so an M=1 fleet consumes the identical
-    stream as :func:`build_episode`.  Each additional AV k draws the
-    same (lane, speed) pair shape and starts at ``k * length / count``;
-    conventional vehicles already inside its clearance window are
-    discarded deterministically (no RNG, no retirement bookkeeping).
-    """
-    road = engine.road
-    vids = fleet_vids(count)
-    fleet = [insert_autonomous_vehicle(engine, rng, vid=vids[0])]
-    for index in range(1, count):
-        lane = int(rng.integers(1, road.num_lanes + 1))
-        velocity = float(rng.uniform(0.5, 0.8) * road.v_max)
-        lon = index * road.length / count
-        columns = engine.columns
-        near = np.flatnonzero((columns.lane == lane) & ~columns.is_autonomous
-                              & (np.abs(columns.lon - lon) <= SPAWN_CLEARANCE))
-        rows = engine.active_vehicles()
-        engine.discard_vehicles([rows[row].vid for row in near.tolist()])
-        fleet.append(engine.add_vehicle(Vehicle(
-            vid=vids[index],
-            state=VehicleState(lat=lane, lon=lon, v=velocity),
-            is_autonomous=True,
-        )))
-    return fleet
-
-
 def build_fleet_episode(seed: int, road: Road | None = None,
                         density_per_km: float = constants.DENSITY_PER_KM,
                         car_following=None, num_avs: int = 1
                         ) -> tuple[SimulationEngine, list[Vehicle]]:
     """Seeded episode with an M-vehicle autonomous fleet.
 
+    The traffic is :func:`populate_traffic`'s with ``keep_clear`` the
+    first ``SPAWN_CLEARANCE`` metres, and AV 0 draws and starts exactly
+    as :func:`insert_autonomous_vehicle` places it; the engine adopts
+    both in one batch.  Each additional AV k draws the same (lane,
+    speed) pair shape and starts at ``k * length / num_avs``;
+    conventional vehicles already inside its clearance window are
+    discarded deterministically (no RNG, no retirement bookkeeping).
     :func:`build_episode` is this function at ``num_avs=1``.
     """
     rng = default_generator(seed)
     engine = SimulationEngine(road=road or Road(), car_following=car_following,
                               rng=rng)
-    populate_traffic(engine, rng, density_per_km, keep_clear=(0.0, SPAWN_CLEARANCE))
-    fleet = insert_autonomous_fleet(engine, rng, num_avs)
+    road = engine.road
+    lane, rows = _traffic(road, rng, density_per_km, (0.0, SPAWN_CLEARANCE))
+    av_lane, velocity = _autonomous_draw(rng, road)
+    count = len(lane)
+    vids = fleet_vids(num_avs)
+    fleet = engine.add_vehicles([*_cv_ids(count), vids[0]], _columns(
+        np.append(lane, av_lane),
+        np.vstack((rows, (0.0, velocity, *astuple(DriverProfile())))),
+        is_autonomous=np.arange(count + 1) == count))[count:]
+    for index in range(1, num_avs):
+        lane, velocity = _autonomous_draw(rng, road)
+        lon = index * road.length / num_avs
+        columns = engine.columns
+        near = np.flatnonzero((columns.lane == lane) & ~columns.is_autonomous
+                              & (np.abs(columns.lon - lon) <= SPAWN_CLEARANCE))
+        handles = engine.active_vehicles()
+        engine.discard_vehicles([handles[row].vid for row in near.tolist()])
+        fleet.append(engine.add_vehicle(Vehicle(
+            vid=vids[index],
+            state=VehicleState(lat=lane, lon=lon, v=velocity),
+            is_autonomous=True,
+        )))
     return engine, fleet
 
 

@@ -9,6 +9,8 @@ collision events, retirements and RNG draws.
 The lockstep suites build a world with the library spawn and then step
 it with this class, either by constructing ``ScalarEngine`` directly or
 by re-classing a built engine with :func:`as_scalar`.
+:func:`abort_conflicting_changes` is the library's lane-change
+arbitration pass in its row-by-row form.
 """
 
 from __future__ import annotations
@@ -31,6 +33,36 @@ class LaneChangeDecision:
 
     lane_delta: int
     incentive: float
+
+
+def abort_conflicting_changes(movers: np.ndarray, keepers: np.ndarray,
+                              lane: np.ndarray, lane_delta: np.ndarray,
+                              target: np.ndarray, cooldown: np.ndarray,
+                              claim_lo: np.ndarray, claim_hi: np.ndarray) -> None:
+    """The row-by-row form of :func:`repro.sim.engine._abort_conflicting_changes`:
+    each mover, in row order, against the keeper claims in its target
+    lane and then the claims of the movers before it."""
+    keeper_claims: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    mover_claims: dict[int, list[tuple[float, float]]] = {}
+    for row in np.flatnonzero(movers):
+        lane_to = int(target[row])
+        if lane_to not in keeper_claims:
+            mask = keepers & (target == lane_to)
+            keeper_claims[lane_to] = (claim_lo[mask], claim_hi[mask])
+        lows, highs = keeper_claims[lane_to]
+        overlapping = bool(np.any((claim_lo[row] < highs)
+                                  & (lows < claim_hi[row])))
+        if not overlapping:
+            for low, high in mover_claims.get(lane_to, ()):
+                if claim_lo[row] < high and low < claim_hi[row]:
+                    overlapping = True
+                    break
+        if overlapping:
+            lane_delta[row] = 0
+            target[row] = lane[row]
+            cooldown[row] = 0
+            lane_to = int(lane[row])
+        mover_claims.setdefault(lane_to, []).append((claim_lo[row], claim_hi[row]))
 
 
 def _accel(mobil: MOBIL, vehicle: Vehicle, leader: Vehicle | None,

@@ -4,6 +4,10 @@ One ``rng.uniform`` call per value and one ``np.clip`` per clamp, in
 the order the library's block draws must reproduce: per lane, the slot
 offset; per slot, the jitter, then -- unless the slot lands in
 ``keep_clear`` -- the eight driver-profile fields and the speed factor.
+Speeds are then equilibrated by the front-to-back scan
+:func:`equilibrate_speeds`.  :func:`window_slots` and :func:`place_lane`
+are the library's window search and overlap skip in their array and
+one-lane forms.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from repro.seeding import default_generator
 from repro.sim import constants
 from repro.sim.engine import SimulationEngine
 from repro.sim.road import Road
-from repro.sim.spawn import (SPAWN_CLEARANCE, _equilibrate_speeds,
-                             insert_autonomous_vehicle)
+from repro.sim.spawn import SPAWN_CLEARANCE, insert_autonomous_vehicle
 from repro.sim.vehicle import DriverProfile, Vehicle, VehicleState
 
 
@@ -62,8 +65,60 @@ def populate_traffic(engine: SimulationEngine, rng: np.random.Generator,
             )))
             previous = lon
             counter += 1
-    _equilibrate_speeds(engine)
+    equilibrate_speeds(engine)
     return created
+
+
+def window_slots(offset: float, spacing: float, per_lane: int, top: float,
+                 keep_clear: tuple[float, float] | None) -> tuple[int, int]:
+    """Every slot's jitter reach tested against ``keep_clear`` at once."""
+    if keep_clear is None:
+        return per_lane, per_lane
+    slots = np.arange(per_lane)
+    margin = 1e-9 * (top + 1.0)
+    low = np.maximum(offset + (slots - 0.25) * spacing - margin, 0.0)
+    high = np.minimum(offset + (slots + 0.25) * spacing + margin, top)
+    reach = np.flatnonzero((high >= keep_clear[0]) & (low <= keep_clear[1]))
+    if reach.size == 0:
+        return per_lane, per_lane
+    return int(reach[0]), int(reach[-1]) + 1
+
+
+def place_lane(lon: list[float], min_space: float) -> list[int]:
+    """Indices kept by one lane's overlap skip: walking up in longitude,
+    a candidate closer than ``min_space`` to the last placed is skipped."""
+    placed: list[int] = []
+    previous: float | None = None
+    for slot, lon_next in enumerate(lon):
+        if previous is not None and lon_next - previous < min_space:
+            continue
+        placed.append(slot)
+        previous = lon_next
+    return placed
+
+
+def equilibrate_speeds(engine: SimulationEngine) -> None:
+    """Walk each lane front to back (equal longitudes in the order the
+    vehicles were added) and cap each speed at the Krauss safe speed for
+    the vehicle's leader, as capped before it."""
+    columns = engine.columns
+    order = np.lexsort((columns.arrival, -columns.lon, columns.lane))
+    lane, lon, rear, min_gap, comfort_decel, v = (
+        column[order].tolist() for column in (
+            columns.lane, columns.lon, columns.lon - columns.length,
+            columns.profiles.min_gap, columns.profiles.comfort_decel, columns.v))
+    tau = 1.0
+    for leader in range(len(order) - 1):
+        follower = leader + 1
+        if lane[follower] != lane[leader]:
+            continue
+        gap = max(rear[leader] - lon[follower] - min_gap[follower], 0.0)
+        brake = comfort_decel[follower]
+        v_safe = v[leader] + (gap - v[leader] * tau) / ((v[follower] + v[leader]) / (2.0 * brake) + tau)
+        v_safe = max(v_safe, 0.0)
+        if v[follower] > v_safe:
+            v[follower] = v_safe
+    columns.v[order] = v
 
 
 def build_episode(seed: int, road: Road, density_per_km: float) -> SimulationEngine:
