@@ -1,28 +1,11 @@
 #!/usr/bin/env bash
-# Run reprolint exactly the way the CI gate does.
-#
-#   scripts/lint.sh                 full lint (default paths), fail on
-#                                   findings and on anything above the
-#                                   checked-in baseline
-#   scripts/lint.sh --fast          lint only files changed vs HEAD
-#                                   (git diff + untracked); the cached
-#                                   whole-program pass still spans the
-#                                   full tree
-#   scripts/lint.sh path/to/file.py lint specific files/directories
-#
-# Both modes share the incremental cache in .reprolint-cache/, so a
-# repeat run on an unchanged tree is near-instant.  See
+# Run reprolint exactly the way the CI gate does: per-file and
+# whole-program rules over the default paths (or the files/directories
+# given as arguments); exits 1 on any finding.  See
 # docs/static_analysis.md for the rule catalogue and suppression
 # syntax.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "--fast" ]]; then
-    shift
-    PYTHONPATH=src exec python -m repro.cli lint \
-        --changed --fail-on-findings --fail-on-new "$@"
-fi
-
-PYTHONPATH=src exec python -m repro.cli lint \
-    --fail-on-findings --fail-on-new "$@"
+PYTHONPATH=src exec python -m repro.cli lint "$@"

@@ -2,11 +2,15 @@
 
 Two halves:
 
-* :mod:`repro.analysis.linting` + :mod:`repro.analysis.rules` --
-  **reprolint**, an ``ast``-walking lint framework whose rules encode
+* **reprolint**, an ``ast``-walking lint framework whose rules encode
   invariants no off-the-shelf linter knows about (seeded RNG streams,
-  autograd-tape hygiene, ``no_grad`` around target networks).  Run it
-  with ``python -m repro.cli lint src tests`` or ``scripts/lint.sh``.
+  autograd-tape hygiene, ``no_grad`` around target networks).
+  :mod:`~repro.analysis.linting` + :mod:`~repro.analysis.rules` hold the
+  per-file rules, :mod:`~repro.analysis.program` +
+  :mod:`~repro.analysis.callgraph` the whole-program rules, and
+  :func:`repro.analysis.driver.lint_project` runs both over one parse
+  of each file.  Run it with ``python -m repro.cli lint [paths]`` (or
+  ``scripts/lint.sh``); it exits 1 on any finding.
 * :mod:`repro.analysis.sanitize` -- an opt-in **runtime sanitizer** that
   instruments the autograd tape and the simulation engine with
   finiteness/dtype/shape checks.  Activate with ``REPRO_SANITIZE=1``;

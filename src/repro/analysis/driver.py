@@ -1,186 +1,46 @@
-"""Incremental lint driver: per-file pass + program pass + cache + baseline.
+"""The lint driver: one walk, one parse per file, both passes.
 
 :func:`lint_project` is the one entry point the CLI and the repo-clean
-tests use.  It runs the per-file rule registry over every file, the
-whole-program packs (:mod:`repro.analysis.program`) over the
-program-eligible subset, and serves both from the hash-keyed
-:class:`~repro.analysis.cache.LintCache` when nothing changed.  A
-``--changed`` invocation restricts *reporting* to files that differ
-from git ``HEAD`` while the program digest still spans the whole tree
--- interprocedural findings stay sound, the fast path stays fast.
-
-The baseline (:func:`load_baseline` / :func:`new_findings`) matches on
-``(rule, path, message)`` fingerprints -- deliberately no line numbers,
-so reformatting above a grandfathered finding does not resurrect it.
-The checked-in baseline for this repo is **empty**: every real finding
-the v2 packs surfaced was fixed, not grandfathered.
+test use.  It walks the paths once (:func:`iter_program_files`, which
+also decides program eligibility), reads, parses and scans the
+suppressions of each file once into a
+:class:`~repro.analysis.linting.LintContext`, runs the per-file rules on
+it, and builds the whole-program call graph
+(:mod:`repro.analysis.program`) from those same contexts for the
+eligible files.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import time
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .cache import LintCache, content_hash
-from .linting import Finding, iter_python_files, lint_source
-from .program import PROGRAM_EXCLUDED_PARTS, build_program, lint_program
+from .linting import Finding, LintContext, lint_context, parse_file
+from .program import iter_program_files, lint_program, program_from
 
-__all__ = ["LintReport", "lint_project", "changed_files", "load_baseline",
-           "new_findings", "write_baseline", "DEFAULT_BASELINE"]
-
-DEFAULT_BASELINE = Path(".reprolint-baseline.json")
+__all__ = ["LintReport", "lint_project"]
 
 
 @dataclass
 class LintReport:
-    """Findings plus the accounting the CLI and the cache tests print."""
+    """Findings of both passes, sorted, plus the number of files linted."""
 
     findings: list[Finding]
-    files_total: int = 0
-    cache_hits: int = 0
-    program_from_cache: bool = False
-    duration: float = 0.0
-    #: Findings not covered by the baseline (== findings when no baseline).
-    fresh: list[Finding] = field(default_factory=list)
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        return self.cache_hits / self.files_total if self.files_total else 0.0
+    files_total: int
 
 
-def _program_eligible(path: Path) -> bool:
-    return not PROGRAM_EXCLUDED_PARTS.intersection(
-        part.name for part in path.resolve().parents)
-
-
-def lint_project(paths: Iterable[str | Path],
-                 cache: LintCache | None = None,
-                 only: set[str] | None = None,
-                 run_program: bool = True) -> LintReport:
-    """Lint ``paths`` with both passes, serving unchanged files from cache.
-
-    ``only`` (relpath strings, as produced by :func:`changed_files`)
-    restricts which files are linted *and reported*; the program digest
-    still covers everything under ``paths`` so a cached program entry
-    is only trusted when the whole tree is untouched.
-    """
-    started = time.perf_counter()
-    files = list(iter_python_files(paths))
-    sources: dict[str, str] = {}
-    hashes: dict[str, str] = {}
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        sources[str(path)] = source
-        hashes[str(path)] = content_hash(source)
-
-    selected = [path for path in files
-                if only is None or str(path) in only]
-
+def lint_project(paths: Iterable[str | Path]) -> LintReport:
+    """Lint ``paths`` with the per-file and the whole-program pass."""
     findings: list[Finding] = []
-    for path in selected:
-        key = str(path)
-        cached = cache.get_file(key, hashes[key]) if cache else None
-        if cached is None:
-            cached = lint_source(sources[key], key)
-            if cache is not None:
-                cache.put_file(key, hashes[key], cached)
-        findings.extend(cached)
-
-    program_from_cache = False
-    if run_program:
-        eligible = {key: digest for key, digest in hashes.items()
-                    if _program_eligible(Path(key))}
-        digest = LintCache.program_digest(eligible)
-        program_findings = cache.get_program(digest) if cache else None
-        if program_findings is None:
-            program_findings = lint_program(build_program(paths))
-            if cache is not None:
-                cache.put_program(digest, program_findings)
-        else:
-            program_from_cache = True
-        if only is not None:
-            program_findings = [finding for finding in program_findings
-                                if finding.path in only]
-        findings.extend(program_findings)
-
-    if cache is not None:
-        cache.save()
+    program_files: list[LintContext] = []
+    files_total = 0
+    for path, eligible in iter_program_files(paths):
+        files_total += 1
+        ctx = parse_file(path)
+        findings.extend(lint_context(ctx))
+        if eligible and isinstance(ctx, LintContext):
+            program_files.append(ctx)
+    findings.extend(lint_program(program_from(program_files)))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return LintReport(findings=findings, files_total=len(selected),
-                      cache_hits=cache.hits if cache else 0,
-                      program_from_cache=program_from_cache,
-                      duration=time.perf_counter() - started,
-                      fresh=list(findings))
-
-
-# ----------------------------------------------------------------------
-# --changed support
-# ----------------------------------------------------------------------
-def changed_files(root: str | Path = ".") -> set[str] | None:
-    """Python files differing from git ``HEAD`` (tracked edits + untracked).
-
-    Returns ``None`` when git is unavailable or this is not a work tree
-    -- callers fall back to a full lint rather than linting nothing.
-    """
-    commands = (
-        ["git", "diff", "--name-only", "HEAD", "--", "*.py"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
-    )
-    changed: set[str] = set()
-    for command in commands:
-        try:
-            proc = subprocess.run(command, cwd=str(root), capture_output=True,
-                                  text=True, timeout=30)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        changed.update(line.strip() for line in proc.stdout.splitlines()
-                       if line.strip())
-    return changed
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def _fingerprint(finding: Finding) -> str:
-    # No line number: edits above a grandfathered finding must not
-    # resurrect it, and duplicates are handled as a multiset.
-    return f"{finding.rule}::{finding.path}::{finding.message}"
-
-
-def load_baseline(path: str | Path = DEFAULT_BASELINE) -> Counter:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return Counter()
-    return Counter({str(key): int(count) for key, count
-                    in document.get("fingerprints", {}).items()})
-
-
-def new_findings(findings: Iterable[Finding],
-                 baseline: Counter) -> list[Finding]:
-    """Findings not absorbed by the baseline multiset."""
-    remaining = Counter(baseline)
-    fresh = []
-    for finding in findings:
-        key = _fingerprint(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
-def write_baseline(findings: Iterable[Finding],
-                   path: str | Path = DEFAULT_BASELINE) -> None:
-    counts = Counter(_fingerprint(finding) for finding in findings)
-    document = {"version": 1,
-                "fingerprints": {key: counts[key] for key in sorted(counts)}}
-    Path(path).write_text(json.dumps(document, indent=2) + "\n",
-                          encoding="utf-8")
+    return LintReport(findings=findings, files_total=files_total)

@@ -27,11 +27,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["Finding", "LintContext", "Rule", "RULES", "EXTRA_RULE_IDS",
-           "rule", "iter_python_files", "lint_file", "lint_paths",
-           "lint_source"]
+           "rule", "iter_python_files", "parse_source", "parse_file",
+           "lint_context", "lint_file", "lint_paths", "lint_source"]
 
 #: Directory names skipped by recursive walks (not by explicit paths).
 EXCLUDED_DIRS = frozenset({"fixtures", "__pycache__", ".git"})
@@ -74,13 +74,19 @@ class _Suppressions:
 
 
 class LintContext:
-    """Everything a rule needs to inspect one file."""
+    """Everything a rule needs to inspect one file.
+
+    Built once per file and shared by the per-file rules and the
+    whole-program pass: the tree, the suppression comments and the
+    parent map are each computed once.
+    """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
+        self.suppressions = _parse_suppressions(source,
+                                                set(RULES) | EXTRA_RULE_IDS)
         self._parents: dict[ast.AST, ast.AST] | None = None
 
     def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
@@ -182,38 +188,56 @@ def _parse_suppressions(source: str, known_rules: Iterable[str]) -> _Suppression
     return result
 
 
-def lint_source(source: str, path: str = "<string>",
-                rules: Iterable[Rule] | None = None) -> list[Finding]:
-    """Lint python ``source``; returns surviving findings sorted by line.
+def parse_source(source: str, path: str = "<string>") -> LintContext | Finding:
+    """Parse ``source`` into a :class:`LintContext`.
 
-    Syntax errors are reported as a single ``syntax-error`` finding so a
+    A syntax error comes back as a single ``syntax-error`` finding so a
     broken file fails the lint run instead of being skipped silently.
     """
-    active = list(RULES.values()) if rules is None else list(rules)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
-        return [Finding("syntax-error", path, error.lineno or 1,
-                        (error.offset or 1) - 1, f"file does not parse: {error.msg}")]
-    ctx = LintContext(path, source, tree)
-    suppressions = _parse_suppressions(source, set(RULES) | EXTRA_RULE_IDS)
+        return Finding("syntax-error", path, error.lineno or 1,
+                       (error.offset or 1) - 1, f"file does not parse: {error.msg}")
+    return LintContext(path, source, tree)
 
+
+def parse_file(path: str | Path) -> LintContext | Finding:
+    """Read and parse one file on disk (see :func:`parse_source`)."""
+    return parse_source(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def lint_context(ctx: LintContext | Finding,
+                 rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Run the per-file rules on one parsed file; sorted by line.
+
+    A ``syntax-error`` finding from :func:`parse_source` passes through
+    as the file's only finding.
+    """
+    if isinstance(ctx, Finding):
+        return [ctx]
+    active = list(RULES.values()) if rules is None else list(rules)
     findings: list[Finding] = [
-        Finding("bad-suppression", path, lineno, 0, message)
-        for lineno, message in suppressions.malformed
+        Finding("bad-suppression", ctx.path, lineno, 0, message)
+        for lineno, message in ctx.suppressions.malformed
     ]
     for lint_rule in active:
         for finding in lint_rule.run(ctx):
-            if not suppressions.covers(finding):
+            if not ctx.suppressions.covers(finding):
                 findings.append(finding)
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 
 
+def lint_source(source: str, path: str = "<string>",
+                rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Lint python ``source``; returns surviving findings sorted by line."""
+    return lint_context(parse_source(source, path), rules)
+
+
 def lint_file(path: str | Path, rules: Iterable[Rule] | None = None) -> list[Finding]:
     """Lint one file on disk."""
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path), rules)
+    return lint_context(parse_file(path), rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -242,13 +266,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Iterable[str | Path],
-               rules: Iterable[Rule] | None = None,
-               on_file: Callable[[Path], None] | None = None) -> list[Finding]:
-    """Lint every python file reachable from ``paths``."""
+               rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Run the per-file rules on every python file reachable from ``paths``."""
     findings: list[Finding] = []
     for path in iter_python_files(paths):
-        if on_file is not None:
-            on_file(path)
         findings.extend(lint_file(path, rules))
     return findings
 

@@ -69,12 +69,12 @@ from typing import Iterable, Iterator
 
 from .callgraph import (CallGraph, FunctionInfo, ModuleInfo, build_call_graph,
                         dotted_name, infer_local_types, module_name_for)
-from .linting import (EXTRA_RULE_IDS, Finding, LintContext, _parse_suppressions,
-                      iter_python_files)
+from .linting import (EXTRA_RULE_IDS, Finding, LintContext, iter_python_files,
+                      parse_file)
 
 __all__ = ["ProgramFile", "Program", "ProgramRule", "PROGRAM_RULES",
-           "program_rule", "build_program", "lint_program",
-           "PROGRAM_EXCLUDED_PARTS"]
+           "program_rule", "iter_program_files", "program_from",
+           "build_program", "lint_program", "PROGRAM_EXCLUDED_PARTS"]
 
 #: Path parts that exclude a file from the whole-program pass even when
 #: it is linted per-file: test suites and benchmarks construct ad-hoc
@@ -89,7 +89,6 @@ class ProgramFile:
     """One parsed file participating in the program pass."""
 
     path: str
-    source: str
     tree: ast.Module
     module: str
     ctx: LintContext
@@ -169,61 +168,58 @@ def program_rule(cls: type[ProgramRule]) -> type[ProgramRule]:
     return cls
 
 
+def iter_program_files(paths: Iterable[str | Path]
+                       ) -> Iterator[tuple[Path, bool]]:
+    """Walk ``paths`` once: every python file with its program eligibility.
+
+    This is the one place eligibility is decided.  Directory walks skip
+    :data:`PROGRAM_EXCLUDED_PARTS`; a file named explicitly is always
+    eligible (same convention as
+    :func:`~repro.analysis.linting.iter_python_files` -- that is how the
+    program-rule fixture corpus gets linted by its tests).
+    """
+    paths = list(paths)
+    explicit = {Path(entry).resolve() for entry in paths
+                if not Path(entry).is_dir()}
+    for path in iter_python_files(paths):
+        resolved = path.resolve()
+        excluded = PROGRAM_EXCLUDED_PARTS.intersection(
+            part.name for part in resolved.parents)
+        yield path, resolved in explicit or not excluded
+
+
+def program_from(contexts: Iterable[LintContext]) -> Program:
+    """Build the call graph over already-parsed files."""
+    by_path = {ctx.path: ctx for ctx in contexts}
+    graph = build_call_graph((path, ctx.tree) for path, ctx in by_path.items())
+    # Module names come back from the graph (which de-duplicates stem
+    # collisions between package-less scripts), keyed by path.
+    files = [
+        ProgramFile(path=module.path, tree=module.tree, module=module.name,
+                    ctx=by_path[module.path])
+        for module in graph.modules.values()]
+    files.sort(key=lambda file: file.path)
+    return Program(files, graph)
+
+
 def build_program(paths: Iterable[str | Path]) -> Program:
     """Parse every program-eligible python file under ``paths``.
 
     Files that fail to parse are skipped here; the per-file pass
     reports them as ``syntax-error`` findings.
     """
-    sources: dict[str, str] = {}
-    parsed: list[tuple[str, ast.Module]] = []
-    seen: set[str] = set()
-    for entry in paths:
-        entry = Path(entry)
-        explicit = not entry.is_dir()
-        for path in iter_python_files([entry]):
-            # Directory walks honor the exclusions; files passed
-            # explicitly are always analyzed (same convention as
-            # iter_python_files -- that is how the program-rule fixture
-            # corpus gets linted by its tests).
-            if not explicit and PROGRAM_EXCLUDED_PARTS.intersection(
-                    part.name for part in path.resolve().parents):
-                continue
-            if str(path) in seen:
-                continue
-            seen.add(str(path))
-            source = path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue
-            sources[str(path)] = source
-            parsed.append((str(path), tree))
-    graph = build_call_graph(parsed)
-    # Module names come back from the graph (which de-duplicates stem
-    # collisions between package-less scripts), keyed by path.
-    files = [
-        ProgramFile(path=module.path, source=sources[module.path],
-                    tree=module.tree, module=module.name,
-                    ctx=LintContext(module.path, sources[module.path],
-                                    module.tree))
-        for module in graph.modules.values()]
-    files.sort(key=lambda file: file.path)
-    return Program(files, graph)
+    contexts = (parse_file(path) for path, eligible
+                in iter_program_files(paths) if eligible)
+    return program_from(ctx for ctx in contexts
+                        if isinstance(ctx, LintContext))
 
 
-def lint_program(program_or_paths: Program | Iterable[str | Path],
+def lint_program(program: Program,
                  rules: Iterable[ProgramRule] | None = None) -> list[Finding]:
     """Run the program rule packs; returns suppression-filtered findings."""
-    if isinstance(program_or_paths, Program):
-        program = program_or_paths
-    else:
-        program = build_program(program_or_paths)
     active = list(PROGRAM_RULES.values()) if rules is None else list(rules)
-    suppressions = {
-        file.path: _parse_suppressions(file.source, EXTRA_RULE_IDS
-                                       | set(_file_rule_ids()))
-        for file in program.files}
+    suppressions = {file.path: file.ctx.suppressions
+                    for file in program.files}
     findings: list[Finding] = []
     for program_lint_rule in active:
         for finding in program_lint_rule.run(program):
@@ -233,11 +229,6 @@ def lint_program(program_or_paths: Program | Iterable[str | Path],
             findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def _file_rule_ids() -> set[str]:
-    from .linting import RULES
-    return set(RULES)
 
 
 # ----------------------------------------------------------------------

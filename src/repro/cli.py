@@ -166,36 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the load report as JSON to this file")
 
     lint = commands.add_parser(
-        "lint", help="run the reprolint static analyzer (v2: whole-program)")
+        "lint", help="run the reprolint static analyzer (per-file and "
+                     "whole-program rules); exits 1 on any finding")
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to lint (default: every "
                            "existing one of src tests examples scripts "
                            "benchmarks)")
-    lint.add_argument("--fail-on-findings", action="store_true",
-                      help="exit non-zero when any finding survives "
-                           "suppressions (the CI gate)")
-    lint.add_argument("--fail-on-new", action="store_true",
-                      help="exit non-zero only for findings not in the "
-                           "baseline file")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline path (default: .reprolint-baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write current findings to the baseline and exit 0")
-    lint.add_argument("--changed", action="store_true",
-                      help="lint only files differing from git HEAD "
-                           "(composes with the cache; full tree still "
-                           "anchors the program pass)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental result cache")
-    lint.add_argument("--cache-dir", default=None,
-                      help="cache directory (default: .reprolint-cache)")
-    lint.add_argument("--no-program", action="store_true",
-                      help="per-file rules only; skip the whole-program pass")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--output", default=None,
-                      help="write formatted findings to this file instead "
-                           "of stdout")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
 
@@ -458,16 +434,12 @@ DEFAULT_LINT_PATHS = ("src", "tests", "examples", "scripts", "benchmarks")
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json
+    import time
     from pathlib import Path
 
     from .analysis import RULES
-    from .analysis.cache import DEFAULT_CACHE_DIR, LintCache
-    from .analysis.driver import (DEFAULT_BASELINE, changed_files,
-                                  lint_project, load_baseline, new_findings,
-                                  write_baseline)
+    from .analysis.driver import lint_project
     from .analysis.program import PROGRAM_RULES
-    from .analysis.sarif import render_sarif
 
     if args.list_rules:
         for rule_id, lint_rule in RULES.items():
@@ -479,61 +451,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
     paths = args.paths
     if not paths:
         paths = [path for path in DEFAULT_LINT_PATHS if Path(path).is_dir()]
-
-    only = None
-    if args.changed:
-        only = changed_files()
-        if only is None:
-            print("reprolint: --changed needs a git work tree; "
-                  "linting everything", file=sys.stderr)
-        elif not only:
-            print("reprolint: no files changed vs HEAD; nothing to lint")
-            return 0
-
-    cache = None
-    if not args.no_cache:
-        cache = LintCache(Path(args.cache_dir) if args.cache_dir
-                          else DEFAULT_CACHE_DIR)
-    report = lint_project(paths, cache=cache, only=only,
-                          run_program=not args.no_program)
-    findings = report.findings
-
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-    if args.write_baseline:
-        write_baseline(findings, baseline_path)
-        print(f"reprolint: baseline with {len(findings)} finding(s) "
-              f"written to {baseline_path}")
-        return 0
-    fresh = new_findings(findings, load_baseline(baseline_path))
-
-    if args.format == "sarif":
-        rendered = render_sarif(findings)
-    elif args.format == "json":
-        rendered = json.dumps([vars(finding) for finding in findings],
-                              indent=2)
-    else:
-        rendered = "\n".join(finding.render() for finding in findings)
-    if args.output:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-    elif rendered:
-        print(rendered)
-
-    if args.format == "text" and not args.output:
-        noun = "finding" if len(findings) == 1 else "findings"
-        cached = (f", {report.cache_hits}/{report.files_total} files from "
-                  f"cache" if cache is not None else "")
-        program_note = ("cached" if report.program_from_cache else "fresh") \
-            if not args.no_program else "skipped"
-        print(f"reprolint: {len(findings)} {noun} "
-              f"({len(fresh)} above baseline) in {report.files_total} files "
-              f"in {report.duration:.2f}s "
-              f"(program pass {program_note}{cached})")
-
-    if args.fail_on_findings and findings:
-        return 1
-    if args.fail_on_new and fresh:
-        return 1
-    return 0
+    started = time.perf_counter()
+    report = lint_project(paths)
+    for finding in report.findings:
+        print(finding.render())
+    noun = "finding" if len(report.findings) == 1 else "findings"
+    print(f"reprolint: {len(report.findings)} {noun} in "
+          f"{report.files_total} files in "
+          f"{time.perf_counter() - started:.2f}s")
+    return 1 if report.findings else 0
 
 
 def cmd_info(args: argparse.Namespace) -> int:

@@ -16,14 +16,17 @@ featurizer; :func:`to_networkx` reads its node features from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..sim.road import Road
 from .neighbors import AREA_COUNT
 from .phantom import (CONTRIBUTORS, NODE_COUNT, PerceivedScene, TrackKind,
                       node_row, phantom_mask)
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SpatialTemporalGraph", "build_graph", "build_graphs",
            "concat_graphs", "split_rows", "FEATURE_DIM", "CONTRIBUTORS",
@@ -186,14 +189,19 @@ def split_rows(stacked: np.ndarray, counts: list[int]) -> list[np.ndarray]:
     return out
 
 
-def to_networkx(scene: PerceivedScene, road: Road, step: int = -1) -> nx.DiGraph:
+def to_networkx(scene: PerceivedScene, road: Road,
+                step: int = -1) -> nx.DiGraph:
     """Export one spatial graph g(tau) as a directed networkx graph.
 
     Nodes are labeled ``"C1"``..``"C6"`` and ``"C1.1"``..``"C6.6"`` with
     ``feature`` (the node's :func:`build_graph` row) and ``kind``
     attributes; edges run surrounding -> target plus target self-loops,
-    exactly the paper's construction steps 1-3.
+    exactly the paper's construction steps 1-3.  ``networkx`` is an
+    optional dependency (the ``test``/``dev`` extras), so it is imported
+    here rather than with the package.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     features = build_graph(scene, road).contributor_features
     features = features[step % features.shape[0]]

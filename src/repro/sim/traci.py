@@ -45,10 +45,6 @@ class _VehicleDomain:
         """Longitudinal velocity (m/s)."""
         return self._engine.get(vid).v
 
-    def getAcceleration(self, vid: str) -> float:
-        """Acceleration commanded at the previous step (m/s^2)."""
-        return self._engine.get(vid).accel
-
     def getLeader(self, vid: str) -> tuple[str, float] | None:
         """``(leader_id, gap)`` in the vehicle's lane, or None."""
         vehicle = self._engine.get(vid)
@@ -87,14 +83,6 @@ class _SimulationDomain:
         """Simulated wall time in seconds."""
         from . import constants
         return self._engine.step_count * constants.DT
-
-    def getCollisions(self) -> list[CollisionEvent]:
-        """All collision events recorded so far."""
-        return list(self._engine.collisions)
-
-    def getMinExpectedNumber(self) -> int:
-        """Number of vehicles still in the network (SUMO semantics)."""
-        return len(self._engine.vehicles)
 
 
 class TraCI:

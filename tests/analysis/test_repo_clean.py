@@ -1,16 +1,14 @@
-"""The acceptance gate: the repository's own tree lints clean under v2.
+"""The acceptance gate: the repository's own tree lints clean.
 
-This is the same check CI runs (``python -m repro.cli lint
---fail-on-findings`` over the default paths); keeping it in the tier-1
-suite means a rule violation -- per-file *or* whole-program -- fails
-locally before it ever reaches CI.  The checked-in baseline is empty:
-every real finding the v2 packs surfaced was fixed, not grandfathered.
+This is the same check CI runs (``python -m repro.cli lint`` over the
+default paths); keeping it in the tier-1 suite means a rule violation
+-- per-file *or* whole-program -- fails locally before it ever reaches
+CI.
 """
 
 from pathlib import Path
 
-from repro.analysis import lint_paths
-from repro.analysis.driver import lint_project, load_baseline
+from repro.analysis.driver import lint_project
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -21,23 +19,7 @@ PROJECT_PATHS = [REPO / name
 
 
 def test_whole_project_lints_clean_under_v2():
-    report = lint_project(PROJECT_PATHS, cache=None)
+    report = lint_project(PROJECT_PATHS)
     assert report.findings == [], "\n".join(
         finding.render() for finding in report.findings)
     assert report.files_total > 100  # the walk really covered the tree
-
-
-def test_src_and_tests_lint_clean_per_file():
-    findings = lint_paths([REPO / "src", REPO / "tests"])
-    assert findings == [], "\n".join(finding.render() for finding in findings)
-
-
-def test_scripts_and_benchmarks_lint_clean_per_file():
-    paths = [path for path in (REPO / "scripts", REPO / "benchmarks")
-             if path.is_dir()]
-    findings = lint_paths(paths)
-    assert findings == [], "\n".join(finding.render() for finding in findings)
-
-
-def test_baseline_ships_empty():
-    assert load_baseline(REPO / ".reprolint-baseline.json") == {}

@@ -7,7 +7,7 @@ exact (line, rule) multiset.  Fixtures that cannot carry markers
 expectations hand-coded below.
 """
 
-import json
+import ast
 import os
 import re
 import subprocess
@@ -19,6 +19,7 @@ import pytest
 from repro.analysis import (
     RULES, Rule, iter_python_files, lint_file, lint_paths, lint_source, rule,
 )
+from repro.analysis.driver import lint_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]
@@ -154,26 +155,16 @@ def test_lint_source_rule_subset():
 def _run_cli(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    # --no-cache keeps CLI tests from touching the repo's real
-    # .reprolint-cache/ state.
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "lint", "--no-cache", *argv],
+        [sys.executable, "-m", "repro.cli", "lint", *argv],
         capture_output=True, text=True, env=env, cwd=REPO)
 
 
 def test_cli_exit_codes():
-    bad = str(FIXTURES / "bad_bare_except.py")
-    assert _run_cli(bad).returncode == 0  # report-only by default
-    assert _run_cli(bad, "--fail-on-findings").returncode == 1
-    good = str(FIXTURES / "good_clean.py")
-    assert _run_cli(good, "--fail-on-findings").returncode == 0
-
-
-def test_cli_json_output():
-    result = _run_cli(str(FIXTURES / "bad_bare_except.py"), "--format", "json")
-    findings = json.loads(result.stdout)
-    assert [finding["rule"] for finding in findings] == ["bare-except"]
-    assert findings[0]["line"] == 7
+    bad = _run_cli(str(FIXTURES / "bad_bare_except.py"))
+    assert bad.returncode == 1  # any finding fails the run
+    assert "[bare-except]" in bad.stdout
+    assert _run_cli(str(FIXTURES / "good_clean.py")).returncode == 0
 
 
 def test_cli_list_rules():
@@ -181,3 +172,24 @@ def test_cli_list_rules():
     assert result.returncode == 0
     for rule_id in RULES:
         assert rule_id in result.stdout
+
+
+def test_lint_project_parses_each_file_once(tmp_path, monkeypatch):
+    # One read, one parse and one suppression scan per file feed both
+    # passes: the program pass reuses the per-file trees.
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("def test_f():\n    pass\n")
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(Path(filename).name)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    report = lint_project([tmp_path])
+    assert report.findings == []
+    assert report.files_total == 2
+    assert sorted(parsed) == ["mod.py", "test_mod.py"]

@@ -1,8 +1,14 @@
 """Tests for spatial-temporal graph construction (Eqs. 7-9)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.perception import (CONTRIBUTORS, FEATURE_DIM, ObservationBuffer,
                               build_graph, build_scene, to_networkx)
 from repro.perception.graph import EGO_SCALE, OUTPUT_SCALE, RELATIVE_SCALE
@@ -103,6 +109,18 @@ def test_networkx_export_42_nodes_48_edges(road):
             name = f"C{area}.{slot}" if slot else f"C{area}"
             assert (nxg.nodes[name]["feature"].tobytes()
                     == graph.contributor_features[-1, area - 1, slot].tobytes())
+
+
+def test_package_imports_without_networkx():
+    # networkx ships only in the test/dev extras; the export imports it
+    # on first use, so importing the package must not pull it in.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    code = ("import sys, repro, repro.perception, repro.decision, "
+            "repro.sim, repro.serve; print('networkx' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "False"
 
 
 def test_output_scale_consistent_with_relative_scale():
