@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = ["Finding", "LintContext", "Rule", "RULES", "EXTRA_RULE_IDS",
-           "rule", "iter_python_files", "parse_source", "parse_file",
-           "lint_context", "lint_file", "lint_paths", "lint_source"]
+           "rule", "iter_python_files", "walk_python_files", "parse_source",
+           "parse_file", "lint_context", "lint_file", "lint_paths", "lint_source"]
 
 #: Directory names skipped by recursive walks (not by explicit paths).
 EXCLUDED_DIRS = frozenset({"fixtures", "__pycache__", ".git"})
@@ -240,29 +240,42 @@ def lint_file(path: str | Path, rules: Iterable[Rule] | None = None) -> list[Fin
     return lint_context(parse_file(path), rules)
 
 
-def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Expand files/directories into python files, honoring exclusions.
+def walk_python_files(paths: Iterable[str | Path]
+                      ) -> Iterator[tuple[Path, frozenset[str]]]:
+    """Expand files/directories into python files, each once, with the
+    names of the directories it was walked through.
 
-    Explicit file arguments are always yielded (that is how the fixture
-    corpus gets linted by its tests); directory walks skip
-    :data:`EXCLUDED_DIRS` and are sorted for deterministic output.
+    Those names are the walked directory's own and the ones between it
+    and the file (none for a file named explicitly); the directories
+    above a walked path never count.  Explicit file arguments are always
+    yielded (that is how the fixture corpus gets linted by its tests);
+    directory walks skip :data:`EXCLUDED_DIRS` and are sorted for
+    deterministic output.
     """
     seen: set[Path] = set()
     for entry in paths:
         entry = Path(entry)
         if entry.is_dir():
-            candidates: Iterable[Path] = sorted(
-                candidate for candidate in entry.rglob("*.py")
-                if not EXCLUDED_DIRS.intersection(part.name for part in candidate.parents))
+            candidates: list[tuple[Path, frozenset[str]]] = []
+            for candidate in sorted(entry.rglob("*.py")):
+                dirs = frozenset((entry.name, *candidate.relative_to(entry).parts[:-1]))
+                if not EXCLUDED_DIRS.intersection(dirs):
+                    candidates.append((candidate, dirs))
         elif entry.suffix == ".py":
-            candidates = [entry]
+            candidates = [(entry, frozenset())]
         else:
             candidates = []
-        for candidate in candidates:
+        for candidate, dirs in candidates:
             resolved = candidate.resolve()
             if resolved not in seen:
                 seen.add(resolved)
-                yield candidate
+                yield candidate, dirs
+
+
+def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """The python files :func:`walk_python_files` yields, without their directories."""
+    for path, _ in walk_python_files(paths):
+        yield path
 
 
 def lint_paths(paths: Iterable[str | Path],

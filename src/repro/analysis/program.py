@@ -69,8 +69,8 @@ from typing import Iterable, Iterator
 
 from .callgraph import (CallGraph, FunctionInfo, ModuleInfo, build_call_graph,
                         dotted_name, infer_local_types, module_name_for)
-from .linting import (EXTRA_RULE_IDS, Finding, LintContext, iter_python_files,
-                      parse_file)
+from .linting import (EXTRA_RULE_IDS, Finding, LintContext, parse_file,
+                      walk_python_files)
 
 __all__ = ["ProgramFile", "Program", "ProgramRule", "PROGRAM_RULES",
            "program_rule", "iter_program_files", "program_from",
@@ -173,19 +173,14 @@ def iter_program_files(paths: Iterable[str | Path]
     """Walk ``paths`` once: every python file with its program eligibility.
 
     This is the one place eligibility is decided.  Directory walks skip
-    :data:`PROGRAM_EXCLUDED_PARTS`; a file named explicitly is always
-    eligible (same convention as
-    :func:`~repro.analysis.linting.iter_python_files` -- that is how the
+    :data:`PROGRAM_EXCLUDED_PARTS` among the directories they walk
+    through, not above the walked path; a file named explicitly is
+    always eligible (same convention as
+    :func:`~repro.analysis.linting.walk_python_files` -- that is how the
     program-rule fixture corpus gets linted by its tests).
     """
-    paths = list(paths)
-    explicit = {Path(entry).resolve() for entry in paths
-                if not Path(entry).is_dir()}
-    for path in iter_python_files(paths):
-        resolved = path.resolve()
-        excluded = PROGRAM_EXCLUDED_PARTS.intersection(
-            part.name for part in resolved.parents)
-        yield path, resolved in explicit or not excluded
+    for path, dirs in walk_python_files(paths):
+        yield path, not PROGRAM_EXCLUDED_PARTS.intersection(dirs)
 
 
 def program_from(contexts: Iterable[LintContext]) -> Program:

@@ -6,7 +6,7 @@ training state, not just network weights:
 
 * all :class:`~repro.nn.module.Module` attributes (online and target
   networks), parameter by parameter;
-* all optimizer moments (Adam ``m``/``v``/step count, SGD velocity);
+* all optimizer moments (Adam ``m``/``v``/step count);
 * the full replay buffer contents, size and cursor;
 * every ``numpy`` Generator attribute, by bit-generator state (restored
   *in place* so objects sharing the Generator -- the replay buffer
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.module import Module
-from ..nn.optim import Adam, SGD
+from ..nn.optim import Adam
 from ..nn.serialization import atomic_savez
 
 
@@ -108,8 +108,6 @@ def _snapshot(agent) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
             arrays[f"opt.{name}.step"] = np.array(value._step_count)
             arrays[f"opt.{name}.m"] = value._m.copy()
             arrays[f"opt.{name}.v"] = value._v.copy()
-        elif isinstance(value, SGD):
-            arrays[f"opt.{name}.vel"] = value._velocity.copy()
         elif isinstance(value, ReplayBuffer):
             for attr in _BUFFER_ARRAYS:
                 arrays[f"buffer.{name}.{attr}"] = getattr(value, attr).copy()
@@ -226,8 +224,6 @@ def _apply(agent, stored: dict[str, np.ndarray], rng_states: dict) -> None:
             value._step_count = int(stored[f"opt.{name}.step"])
             value._m[...] = stored[f"opt.{name}.m"]
             value._v[...] = stored[f"opt.{name}.v"]
-        elif isinstance(value, SGD):
-            value._velocity[...] = stored[f"opt.{name}.vel"]
         elif isinstance(value, ReplayBuffer):
             for attr in _BUFFER_ARRAYS:
                 getattr(value, attr)[...] = stored[f"buffer.{name}.{attr}"]

@@ -1,13 +1,13 @@
 """Dense layers and containers built on the autograd engine.
 
 The paper's networks are compositions of linear transformations with
-ReLU/LeakyReLU/Tanh nonlinearities (Eqs. 10-13 and 24-27); this module
-provides those building blocks with PyTorch-compatible semantics.
+ReLU nonlinearities (Eqs. 24-27); this module provides those building
+blocks with PyTorch-compatible semantics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .module import Module, Parameter
 from .tensor import Tensor, linear
 from ..seeding import resolve_rng
 
-__all__ = ["Linear", "Sequential", "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "MLP"]
+__all__ = ["Linear", "Sequential", "ReLU", "MLP"]
 
 
 class Linear(Module):
@@ -52,31 +52,6 @@ class ReLU(Module):
         return inputs.relu()
 
 
-class LeakyReLU(Module):
-    """Leaky ReLU activation (paper uses it inside the GAT scores, Eq. 10)."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation (bounds BP-DQN accelerations, Eq. 25)."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
 class Sequential(Module):
     """Run sub-modules in order."""
 
@@ -92,15 +67,14 @@ class Sequential(Module):
 
 
 class MLP(Module):
-    """Multilayer perceptron with a configurable activation.
+    """Multilayer perceptron with ReLU activations.
 
-    Builds ``Linear -> act -> ... -> Linear`` with no activation after
+    Builds ``Linear -> ReLU -> ... -> Linear`` with no activation after
     the final layer, which is the pattern used by every branch of the
     paper's x/Q networks.
     """
 
     def __init__(self, sizes: Sequence[int],
-                 activation: Callable[[], Module] = ReLU,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__()
         if len(sizes) < 2:
@@ -110,7 +84,7 @@ class MLP(Module):
         for index, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             layers.append(Linear(n_in, n_out, rng=rng))
             if index < len(sizes) - 2:
-                layers.append(activation())
+                layers.append(ReLU())
         self.net = Sequential(*layers)
 
     def forward(self, inputs: Tensor) -> Tensor:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["mse_loss", "masked_mse_loss", "huber_loss"]
+__all__ = ["mse_loss", "masked_mse_loss"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -38,16 +38,3 @@ def masked_mse_loss(prediction: Tensor, target: Tensor, mask: np.ndarray) -> Ten
     diff = prediction - target
     weighted = diff * diff * Tensor(mask[:, None])
     return weighted.sum() * (1.0 / (kept * prediction.shape[1]))
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Smooth L1 loss, the conventional robust TD-error objective.
-
-    Provided as an alternative to the squared Bellman error of Eq. 22;
-    the default trainers use MSE to match the paper.
-    """
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = abs_diff.clip_value(0.0, delta)
-    linear = abs_diff - quadratic
-    return (quadratic * quadratic * 0.5 + linear * delta).mean()

@@ -1,9 +1,9 @@
 """Module system: parameter containers with state-dict serialization.
 
 Mirrors the small subset of ``torch.nn.Module`` the paper's models rely
-on: recursive parameter discovery, train/eval flags, state dicts, and
-parameter copying (used for target networks and soft updates).  Only
-this module knows the flat parameter store layout (see :func:`flatten`).
+on: recursive parameter discovery, state dicts, and parameter copying
+(used for target networks and soft updates).  Only this module knows
+the flat parameter store layout (see :func:`flatten`).
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ class Module:
     serialization.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     # ------------------------------------------------------------------
     # discovery
     # ------------------------------------------------------------------
@@ -134,20 +131,8 @@ class Module:
                         yield from item.modules()
 
     # ------------------------------------------------------------------
-    # train / eval
+    # gradients
     # ------------------------------------------------------------------
-    def train(self) -> "Module":
-        """Put this module tree in training mode."""
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        """Put this module tree in inference mode."""
-        for module in self.modules():
-            module.training = False
-        return self
-
     def zero_grad(self) -> None:
         """Clear gradients of every parameter."""
         for parameter in self.parameters():

@@ -1,8 +1,8 @@
-"""Gradient-based optimizers.
+"""The Adam optimizer and global gradient-norm clipping.
 
 Adam is the paper's optimizer for both LST-GAT (lr 1e-3, batch 64) and
-BP-DQN; SGD is provided for tests and ablations.  Steps work on the
-parameters' flat store (see :func:`~repro.nn.module.flatten`).
+BP-DQN.  A step works on the parameters' flat store (see
+:func:`~repro.nn.module.flatten`).
 """
 
 from __future__ import annotations
@@ -13,53 +13,12 @@ import numpy as np
 
 from .module import Parameter, flatten
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Base optimizer over one in-order run of a parameter store."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        self.lr = lr
-        self._data, self._grad = flatten(self.parameters)
-
-    def zero_grad(self) -> None:
-        """Clear gradient buffers of all managed parameters."""
-        self._grad.fill(0.0)
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def __setstate__(self, state: dict) -> None:
-        # the vectors are views: a copy finds its own in its parameters
-        self.__dict__.update(state)
-        self._data, self._grad = flatten(self.parameters)
-
-
-class SGD(Optimizer):
-    """SGD with optional momentum; a parameter whose gradient stays zero does not move."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = np.zeros_like(self._data)
-
-    def step(self) -> None:
-        """Apply one update to every managed parameter."""
-        if self.momentum:
-            self._velocity *= self.momentum
-            self._velocity += self._grad
-            self._data -= self.lr * self._velocity
-        else:
-            self._data -= self.lr * self._grad
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba 2014) with bias correction.
+class Adam:
+    """Adam (Kingma & Ba 2014) with bias correction over one in-order
+    run of a parameter store.
 
     A parameter whose gradient has been zero at every step does not
     move: its moments stay ``m = v = 0``, an update of exactly 0.
@@ -67,12 +26,25 @@ class Adam(Optimizer):
 
     def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
-        super().__init__(parameters, lr)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        self.lr = lr
+        self._data, self._grad = flatten(self.parameters)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step_count = 0
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
+
+    def zero_grad(self) -> None:
+        """Clear gradient buffers of all managed parameters."""
+        self._grad.fill(0.0)
+
+    def __setstate__(self, state: dict) -> None:
+        # the vectors are views: a copy finds its own in its parameters
+        self.__dict__.update(state)
+        self._data, self._grad = flatten(self.parameters)
 
     def step(self) -> None:
         """Apply one Adam update to every managed parameter."""

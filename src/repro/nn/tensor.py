@@ -16,14 +16,13 @@ closure-free idiom of HIPS autograd):
 * each op call records only ``(op name, parents, ctx)`` on its output
   node -- no per-call Python closure is constructed;
 * :meth:`Tensor.backward` topologically sorts the tape and dispatches
-  the registered VJPs in reverse, accumulating into gradient buffers
-  drawn from a shape-keyed pool that is reused across training steps.
+  the registered VJPs in reverse, adopting each fresh VJP result as the
+  gradient buffer it accumulates into.
 
 Compared with the closure tape it replaced (preserved verbatim as the
 test oracle ``tests/oracles/nn.py``), recording a node costs an attribute write
-instead of a closure allocation, backward dispatch is a dict lookup
-instead of a call into captured cell variables, and gradient buffers
-are recycled instead of reallocated every step.  ``BENCH_nn.json``
+instead of a closure allocation, and backward dispatch is a dict lookup
+instead of a call into captured cell variables.  ``BENCH_nn.json``
 (``benchmarks/test_perf_nn.py``) tracks the resulting throughput.
 
 Gradients of **every** registered op are verified against central
@@ -37,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "concat", "stack",
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "concat",
            "einsum", "linear", "defvjp", "registered_ops"]
 
 _GRAD_ENABLED = True
@@ -95,8 +94,8 @@ class OpSpec:
     """Registered backward rule for one primitive op.
 
     ``vjps`` holds one function per positional input (``None`` marks a
-    non-differentiable slot).  Variadic ops (``concat``/``stack``)
-    register a single function returning one gradient per parent.
+    non-differentiable slot).  A variadic op (``concat``) registers a
+    single function returning one gradient per parent.
     """
 
     __slots__ = ("name", "vjps", "variadic")
@@ -132,52 +131,6 @@ def registered_ops() -> list[str]:
     return sorted(_VJP_REGISTRY)
 
 
-# ----------------------------------------------------------------------
-# gradient buffer pool
-# ----------------------------------------------------------------------
-class _GradientBufferPool:
-    """Shape-keyed free list of float64 gradient buffers.
-
-    ``backward`` releases every intermediate gradient here once its
-    parents have consumed it (parameter gradients live in the parameter
-    store), so steady-state training reuses the same allocations step
-    after step instead of churning the allocator.  Buffers are
-    only pooled when whole (never views) and the per-shape depth is
-    capped so pathological shape diversity cannot hoard memory.  Only
-    C-ordered buffers are pooled, and only for C-ordered values.
-    """
-
-    __slots__ = ("_free", "max_per_shape")
-
-    def __init__(self, max_per_shape: int = 64) -> None:
-        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
-        self.max_per_shape = max_per_shape
-
-    def take(self, value: np.ndarray) -> np.ndarray:
-        """Return a private float64 copy of ``value``, pooled if possible.
-
-        The copy has ``value``'s memory order whether or not it is
-        pooled, so pool history never changes the layout a later BLAS
-        call sees (and with it the rounding of its sums).
-        """
-        bucket = self._free.get(value.shape)
-        if bucket and value.flags.c_contiguous:
-            buffer = bucket.pop()
-            np.copyto(buffer, value)
-            return buffer
-        return np.array(value, dtype=np.float64, copy=True)
-
-    def release(self, buffer: np.ndarray) -> None:
-        """Hand a no-longer-referenced buffer back for reuse."""
-        if type(buffer) is not np.ndarray or buffer.base is not None \
-                or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-            return
-        bucket = self._free.setdefault(buffer.shape, [])
-        if len(bucket) < self.max_per_shape:
-            bucket.append(buffer)
-
-
-_POOL = _GradientBufferPool()
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -214,19 +167,6 @@ class Tensor:
         self._done = False
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """Return a zero-filled tensor of the given shape."""
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """Return a one-filled tensor of the given shape."""
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     @property
@@ -250,10 +190,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """Return the underlying array (no copy)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         """Clear the gradient."""
@@ -284,10 +220,22 @@ class Tensor:
         out._done = False
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, source: np.ndarray | None = None) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        The first write adopts ``grad`` outright when it is a whole
+        float64 array other than ``source`` (the gradient a VJP derived
+        it from, which a VJP may hand back unchanged to several
+        parents); anything else is copied, in ``grad``'s memory order so
+        later BLAS calls round the same way.
+        """
         buffer = self.grad
         if buffer is None:
-            self.grad = _POOL.take(grad)
+            if type(grad) is np.ndarray and grad.base is None \
+                    and grad is not source and grad.dtype == _FLOAT64:
+                self.grad = grad
+            else:
+                self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             np.add(buffer, grad, out=buffer)
 
@@ -298,9 +246,9 @@ class Tensor:
         consumed nodes are marked and a second ``backward()`` through
         any of them raises ``RuntimeError`` (rebuild the graph instead
         of re-running it -- re-replay double-counts every shared
-        subexpression).  Intermediate gradient buffers are released to
-        the pool as soon as their parents have consumed them; only leaf
-        tensors keep ``grad`` populated.
+        subexpression).  Intermediate gradient buffers are dropped as
+        soon as their parents have consumed them; only leaf tensors keep
+        ``grad`` populated.
 
         Parameters
         ----------
@@ -318,7 +266,8 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("backward() without an explicit gradient needs a scalar output")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        else:
+            grad = np.array(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}")
 
@@ -340,23 +289,6 @@ class Tensor:
 
         self._accumulate(grad)
         registry = _VJP_REGISTRY
-
-        def receive(parent: Tensor, parent_grad: np.ndarray,
-                    out_grad: np.ndarray) -> None:
-            # Accumulation fast path: a VJP result that owns its memory
-            # (not a view, not the node's own grad buffer being recycled)
-            # is adopted as the gradient buffer outright -- no pool copy.
-            buffer = parent.grad
-            if buffer is None:
-                if type(parent_grad) is np.ndarray and parent_grad.base is None \
-                        and parent_grad is not out_grad \
-                        and parent_grad.dtype == _FLOAT64:
-                    parent.grad = parent_grad
-                else:
-                    parent.grad = _POOL.take(parent_grad)
-            else:
-                np.add(buffer, parent_grad, out=buffer)
-
         for node in reversed(topo):
             op = node._op
             if op is None:
@@ -375,7 +307,7 @@ class Tensor:
                                      tuple(p.data for p in parents))
                 for parent, parent_grad in zip(parents, grads):
                     if parent.requires_grad and parent_grad is not None:
-                        receive(parent, parent_grad, out_grad)
+                        parent._accumulate(parent_grad, out_grad)
             else:
                 vjps = spec.vjps
                 # Unrolled one/two-parent dispatch: nearly every op on
@@ -384,34 +316,33 @@ class Tensor:
                 if len(parents) == 1:
                     parent = parents[0]
                     if parent.requires_grad and vjps[0] is not None:
-                        receive(parent,
-                                vjps[0](out_grad, node.data, node._ctx, parent.data),
-                                out_grad)
+                        parent._accumulate(
+                            vjps[0](out_grad, node.data, node._ctx, parent.data),
+                            out_grad)
                 elif len(parents) == 2:
                     first, second = parents
                     if first.requires_grad and vjps[0] is not None:
-                        receive(first,
-                                vjps[0](out_grad, node.data, node._ctx,
-                                        first.data, second.data),
-                                out_grad)
+                        first._accumulate(
+                            vjps[0](out_grad, node.data, node._ctx,
+                                    first.data, second.data),
+                            out_grad)
                     if second.requires_grad and vjps[1] is not None:
-                        receive(second,
-                                vjps[1](out_grad, node.data, node._ctx,
-                                        first.data, second.data),
-                                out_grad)
+                        second._accumulate(
+                            vjps[1](out_grad, node.data, node._ctx,
+                                    first.data, second.data),
+                            out_grad)
                 else:
                     parent_data = tuple(p.data for p in parents)
                     for index, parent in enumerate(parents):
                         if parent.requires_grad:
                             vjp = vjps[index]
                             if vjp is not None:
-                                receive(parent,
-                                        vjp(out_grad, node.data, node._ctx,
-                                            *parent_data),
-                                        out_grad)
+                                parent._accumulate(
+                                    vjp(out_grad, node.data, node._ctx,
+                                        *parent_data),
+                                    out_grad)
             node._done = True
             node.grad = None
-            _POOL.release(out_grad)
 
     # ------------------------------------------------------------------
     # arithmetic ops
@@ -479,28 +410,10 @@ class Tensor:
     # ------------------------------------------------------------------
     # element-wise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out = self._make_child(np.exp(self.data), (self,))
-        if out.requires_grad:
-            out._op = "exp"
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make_child(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._op = "log"
-        return out
-
     def tanh(self) -> "Tensor":
         out = self._make_child(np.tanh(self.data), (self,))
         if out.requires_grad:
             out._op = "tanh"
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        out = self._make_child(1.0 / (1.0 + np.exp(-self.data)), (self,))
-        if out.requires_grad:
-            out._op = "sigmoid"
         return out
 
     def relu(self) -> "Tensor":
@@ -518,15 +431,6 @@ class Tensor:
             out._op = "leaky_relu"
             out._ctx = (slope,)
         return out
-
-    def abs(self) -> "Tensor":
-        out = self._make_child(np.abs(self.data), (self,))
-        if out.requires_grad:
-            out._op = "abs"
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     # ------------------------------------------------------------------
     # reductions and shaping
@@ -548,13 +452,6 @@ class Tensor:
         if out.requires_grad:
             out._op = "mean"
             out._ctx = (axis, keepdims, count)
-        return out
-
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = self._make_child(self.data.max(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            out._op = "max"
-            out._ctx = (axis, keepdims)
         return out
 
     def reshape(self, *shape: int) -> "Tensor":
@@ -593,15 +490,6 @@ class Tensor:
         if out.requires_grad:
             out._op = "softmax"
             out._ctx = (axis,)
-        return out
-
-    def clip_value(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient is zero outside the range."""
-        mask = (self.data >= low) & (self.data <= high)
-        out = self._make_child(np.clip(self.data, low, high), (self,))
-        if out.requires_grad:
-            out._op = "clip"
-            out._ctx = (mask,)
         return out
 
 
@@ -655,14 +543,9 @@ defvjp("neg", lambda g, out, ctx, a: -g)
 defvjp("mul", _vjp_mul_a, _vjp_mul_b)
 defvjp("div", _vjp_div_a, _vjp_div_b)
 defvjp("pow", lambda g, out, ctx, a: g * ctx[0] * a ** (ctx[0] - 1.0))
-defvjp("exp", lambda g, out, ctx, a: g * out)
-defvjp("log", lambda g, out, ctx, a: g / a)
 defvjp("tanh", lambda g, out, ctx, a: g * (1.0 - out * out))
-defvjp("sigmoid", lambda g, out, ctx, a: g * out * (1.0 - out))
 defvjp("relu", lambda g, out, ctx, a: g * ctx[0])
 defvjp("leaky_relu", lambda g, out, ctx, a: g * ctx[0])
-defvjp("abs", lambda g, out, ctx, a: g * np.sign(a))
-defvjp("clip", lambda g, out, ctx, a: g * ctx[0])
 
 
 # ----------------------------------------------------------------------
@@ -713,15 +596,6 @@ def _vjp_mean(g, out, ctx, a):
                            a.shape)
 
 
-def _vjp_max(g, out, ctx, a):
-    axis, keepdims = ctx
-    peak = out if (keepdims or axis is None) else \
-        a.max(axis=axis, keepdims=True)
-    mask = (a == peak).astype(np.float64)
-    mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-    return mask * _expand_reduced(g, axis, keepdims, a.ndim)
-
-
 def _vjp_getitem(g, out, ctx, a):
     index, basic = ctx
     full = np.zeros_like(a)
@@ -738,7 +612,6 @@ def _vjp_softmax(g, out, ctx, a):
 
 defvjp("sum", _vjp_sum)
 defvjp("mean", _vjp_mean)
-defvjp("max", _vjp_max)
 defvjp("reshape", lambda g, out, ctx, a: g.reshape(a.shape))
 defvjp("transpose", lambda g, out, ctx, a: g.transpose(ctx[0]))
 defvjp("getitem", _vjp_getitem)
@@ -939,7 +812,7 @@ defvjp(
 
 
 # ----------------------------------------------------------------------
-# variadic ops
+# variadic op
 # ----------------------------------------------------------------------
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
@@ -964,22 +837,4 @@ def _vjp_concat(g, out, ctx, parent_data):
     return grads
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient routing."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors)
-    if out.requires_grad:
-        out._op = "stack"
-        out._ctx = (axis, len(tensors))
-    return out
-
-
-def _vjp_stack(g, out, ctx, parent_data):
-    axis, count = ctx
-    return [np.squeeze(part, axis=axis)
-            for part in np.split(g, count, axis=axis)]
-
-
 defvjp("concat", _vjp_concat, variadic=True)
-defvjp("stack", _vjp_stack, variadic=True)

@@ -21,7 +21,7 @@ from ..data.trajectories import TrajectorySet
 from ..sim import constants
 from ..sim.road import Road
 from ..sim.vehicle import VehicleState
-from .graph import SpatialTemporalGraph, build_graph
+from .graph import SpatialTemporalGraph, build_graph, concat_graphs
 from .neighbors import AREA_COUNT
 from .phantom import CONTRIBUTORS, build_scene
 from .sensor import Sensor
@@ -145,12 +145,7 @@ def collate(samples: list[PredictionSample]) -> tuple[SpatialTemporalGraph, np.n
     graphs of 6 targets collate into one graph of 6B targets -- a single
     forward pass trains the whole mini-batch.
     """
-    graph = SpatialTemporalGraph(
-        np.concatenate([sample.graph.target_features for sample in samples], axis=1),
-        np.concatenate([sample.graph.contributor_features for sample in samples], axis=1),
-        np.concatenate([sample.graph.target_mask for sample in samples]),
-        np.concatenate([sample.graph.ego_features for sample in samples], axis=1),
-    )
+    graph = concat_graphs([sample.graph for sample in samples])
     truth = np.concatenate([sample.truth for sample in samples], axis=0)
     return graph, truth
 

@@ -53,15 +53,7 @@ class StatePredictor(nn.Module):
         return baseline / OUTPUT_SCALE
 
     def _prediction(self, graph: SpatialTemporalGraph) -> nn.Tensor:
-        # The baseline is a pure function of the graph arrays, so it is
-        # memoized on the graph instance: training loops evaluate the
-        # same graph many times (loss + diagnostics) and the closed-form
-        # extrapolation never changes between those calls.
-        baseline = getattr(graph, "_baseline_cache", None)
-        if baseline is None:
-            baseline = self.kinematic_baseline(graph)
-            graph._baseline_cache = baseline
-        return self.forward_graph(graph) + nn.Tensor(baseline)
+        return self.forward_graph(graph) + nn.Tensor(self.kinematic_baseline(graph))
 
     def loss(self, graph: SpatialTemporalGraph, truth: np.ndarray) -> nn.Tensor:
         """Masked MSE (Eq. 14) shared by every predictor."""

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.driver import lint_project
 from repro.analysis.linting import lint_source
 from repro.analysis.program import (PROGRAM_RULES, build_program,
                                     lint_program, program_rule, ProgramRule)
@@ -111,6 +112,22 @@ def test_suppressions_cover_program_findings(tmp_path):
 def test_directory_walk_excludes_tests_and_fixtures():
     program = build_program([Path(__file__).resolve().parents[2] / "tests"])
     assert program.files == []
+
+
+@pytest.mark.parametrize("ancestor", ["neutral", "benchmarks", "fixtures"])
+def test_directory_walk_ignores_directories_above_the_walked_path(tmp_path, ancestor):
+    """Only the directories a walk goes through exclude a file, not the
+    ones above the path it was given."""
+    walked = tmp_path / ancestor / "demo" / "examples"
+    walked.mkdir(parents=True)
+    source = CORPUS / "prog_blocking_async.py"
+    (walked / source.name).write_text(source.read_text())
+    expected = [f for f in lint_program(build_program([source]))
+                if f.rule == "blocking-call-in-async"]
+    report = lint_project([walked])
+    assert report.files_total == 1
+    assert expected and len([f for f in report.findings
+                             if f.rule == "blocking-call-in-async"]) == len(expected)
 
 
 def test_blocking_message_names_the_async_entry():

@@ -55,24 +55,6 @@ def test_tanh_gradcheck(value):
 
 @given(random_matrix())
 @settings(max_examples=25, deadline=None)
-def test_sigmoid_gradcheck(value):
-    check(lambda t: t.sigmoid().sum(), value)
-
-
-@given(random_matrix(low=0.1, high=3.0))
-@settings(max_examples=25, deadline=None)
-def test_log_gradcheck(value):
-    check(lambda t: t.log().sum(), value)
-
-
-@given(random_matrix())
-@settings(max_examples=25, deadline=None)
-def test_exp_gradcheck(value):
-    check(lambda t: t.exp().sum(), value)
-
-
-@given(random_matrix())
-@settings(max_examples=25, deadline=None)
 def test_softmax_weighted_gradcheck(value):
     weights = np.arange(value.size, dtype=np.float64).reshape(value.shape)
     check(lambda t: (t.softmax(axis=-1) * Tensor(weights)).sum(), value)

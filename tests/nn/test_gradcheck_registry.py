@@ -85,7 +85,7 @@ def _arr(shape, low=-2.0, high=2.0, seed=0):
 
 
 def _distinct(shape, seed=0):
-    """Values with pairwise gaps >> EPS (safe for max/relu/abs kinks)."""
+    """Values with pairwise gaps >> EPS, none near 0 (safe for relu kinks)."""
     size = int(np.prod(shape, initial=1))
     values = np.linspace(-2.0, 2.0, size + 1)[:size]
     values = values[np.abs(values) > 0.05]  # drop anything near the kink
@@ -133,18 +133,8 @@ CASES: dict[str, list[Case]] = {
              lambda t: weighted(t["a"] ** 1.7)),
         Case({"a": _arr((3, 2))}, lambda t: weighted(t["a"] ** 2)),
     ],
-    "exp": [
-        Case({"a": _arr((2, 3))}, lambda t: weighted(t["a"].exp())),
-    ],
-    "log": [
-        Case({"a": _arr((2, 3), low=0.2, high=3.0)},
-             lambda t: weighted(t["a"].log())),
-    ],
     "tanh": [
         Case({"a": _arr((2, 3))}, lambda t: weighted(t["a"].tanh())),
-    ],
-    "sigmoid": [
-        Case({"a": _arr((2, 3))}, lambda t: weighted(t["a"].sigmoid())),
     ],
     "relu": [
         Case({"a": _distinct((2, 3))}, lambda t: weighted(t["a"].relu())),
@@ -152,16 +142,6 @@ CASES: dict[str, list[Case]] = {
     "leaky_relu": [
         Case({"a": _distinct((3, 2), seed=1)},
              lambda t: weighted(t["a"].leaky_relu(0.2))),
-    ],
-    "abs": [
-        Case({"a": _distinct((2, 3), seed=2)},
-             lambda t: weighted(t["a"].abs())),
-    ],
-    "clip": [
-        # Mix of strictly-inside and strictly-outside values; none
-        # within EPS of the clip boundaries.
-        Case({"a": _distinct((2, 3), seed=3)},
-             lambda t: weighted(t["a"].clip_value(-1.3, 1.3))),
     ],
     "matmul": [
         Case({"a": _arr((2, 3)), "b": _arr((3, 4), seed=9)},
@@ -184,11 +164,6 @@ CASES: dict[str, list[Case]] = {
     "mean": [
         Case({"a": _arr((2, 3))}, lambda t: t["a"].mean()),
         Case({"a": _arr((2, 3))}, lambda t: weighted(t["a"].mean(axis=1))),
-    ],
-    "max": [
-        Case({"a": _distinct((2, 3), seed=4)}, lambda t: t["a"].max()),
-        Case({"a": _distinct((3, 4), seed=5)},
-             lambda t: weighted(t["a"].max(axis=0, keepdims=True))),
     ],
     "reshape": [
         Case({"a": _arr((2, 3))}, lambda t: weighted(t["a"].reshape(3, 2))),
@@ -238,13 +213,6 @@ CASES: dict[str, list[Case]] = {
              lambda t: weighted(nn.concat([t["a"], t["b"]], axis=1))),
         Case({"a": _arr((2, 3)), "b": _arr((0, 3), seed=27)},
              lambda t: weighted(nn.concat([t["a"], t["b"]], axis=0))),
-    ],
-    "stack": [
-        Case({"a": _arr((2, 3)), "b": _arr((2, 3), seed=28),
-              "c": _arr((2, 3), seed=29)},
-             lambda t: weighted(nn.stack([t["a"], t["b"], t["c"]], axis=0))),
-        Case({"a": _arr((2, 3)), "b": _arr((2, 3), seed=30)},
-             lambda t: weighted(nn.stack([t["a"], t["b"]], axis=1))),
     ],
     "lstm_step": [
         Case({"gates": _arr((2, 12)), "cell": _arr((2, 3), seed=31)},

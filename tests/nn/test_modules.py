@@ -10,9 +10,8 @@ import pytest
 from repro.decision import PDQNAgent
 from repro.faults import load_checkpoint, save_checkpoint
 from repro.nn import (
-    LSTM, MLP, Adam, Linear, Module, Parameter, ReLU, Sequential, SGD, Tanh,
-    Tensor, clip_grad_norm, huber_loss, load_module, masked_mse_loss, mse_loss,
-    save_module,
+    LSTM, MLP, Adam, Linear, Module, Parameter, ReLU, Sequential, Tensor,
+    clip_grad_norm, load_module, masked_mse_loss, mse_loss, save_module,
 )
 from repro.nn.module import flatten
 from repro.train.sync import SharedPolicy, policy_modules
@@ -163,41 +162,9 @@ def test_copied_agent_keeps_its_own_store(duplicate):
                             optimizer_clone._data)
 
 
-def test_train_eval_flags_propagate(rng):
-    net = Sequential(Linear(2, 2, rng=rng), Tanh())
-    net.eval()
-    assert all(not module.training for module in net.modules())
-    net.train()
-    assert all(module.training for module in net.modules())
-
-
 def test_num_parameters(rng):
     net = Linear(3, 4, rng=rng)
     assert net.num_parameters() == 3 * 4 + 4
-
-
-def test_sgd_reduces_quadratic():
-    weight = Parameter(np.array([5.0]))
-    optimizer = SGD([weight], lr=0.1)
-    for _ in range(100):
-        optimizer.zero_grad()
-        loss = (Tensor(weight.data) * 0 + weight) ** 2
-        loss.backward(np.ones(1))
-        optimizer.step()
-    assert abs(weight.data[0]) < 1e-3
-
-
-def test_sgd_momentum_converges_faster_than_plain():
-    def run(momentum):
-        weight = Parameter(np.array([5.0]))
-        optimizer = SGD([weight], lr=0.02, momentum=momentum)
-        for _ in range(50):
-            optimizer.zero_grad()
-            (weight ** 2).backward(np.ones(1))
-            optimizer.step()
-        return abs(weight.data[0])
-
-    assert run(0.9) < run(0.0)
 
 
 def test_adam_fits_linear_regression(rng):
@@ -257,13 +224,6 @@ def test_masked_mse_all_masked_is_zero():
 def test_masked_mse_validates_mask_shape():
     with pytest.raises(ValueError):
         masked_mse_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), np.ones(3))
-
-
-def test_huber_quadratic_and_linear_regions():
-    loss_small = huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-    assert loss_small.item() == pytest.approx(0.125)
-    loss_large = huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-    assert loss_large.item() == pytest.approx(0.5 + 2.0)
 
 
 def test_lstm_sequence_shapes_and_state(rng):

@@ -9,11 +9,14 @@ engine must uphold for *any* input:
 - a consumed graph cannot be replayed: ``backward()`` twice raises
   ``RuntimeError`` (the PR 3 sanitizer ``tape-leak`` check, now
   enforced unconditionally by the engine itself);
-- gradient values are deterministic across the buffer pool's reuse of
-  freed gradient storage, and a pooled copy keeps the memory order of
-  the value it copies (BLAS rounds differently on a transposed layout,
-  so pool history must not choose the layout).
+- gradient values are deterministic across repeated backward passes,
+  and a copied gradient keeps the memory order of the value it copies
+  (BLAS rounds differently on a transposed layout);
+- backward keeps no gradient buffer alive once the graph is dropped.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,7 +67,7 @@ def test_dtype_stays_float64_through_op_chains(pair):
     full, other = pair
     a = Tensor(full, requires_grad=True)
     b = Tensor(other, requires_grad=True)
-    out = ((a * b + a).tanh().exp() / 2.0).sum()
+    out = ((a * b + a).tanh().relu() / 2.0).sum()
     assert out.data.dtype == np.float64
     out.backward()
     assert a.grad.dtype == np.float64
@@ -95,8 +98,8 @@ def test_backward_on_shared_subgraph_replay_raises():
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20, deadline=None)
-def test_gradients_deterministic_across_pool_reuse(seed):
-    """Bitwise-equal grads on repeat runs, despite gradient-buffer reuse."""
+def test_gradients_deterministic_across_repeated_backward(seed):
+    """Bitwise-equal grads on repeat runs of the same graph."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(4, 3))
     weight = rng.normal(size=(5, 3))
@@ -109,24 +112,45 @@ def test_gradients_deterministic_across_pool_reuse(seed):
         return x.grad.copy(), w.grad.copy()
 
     first_x, first_w = run()
-    # The first run released its intermediate gradient buffers into the
-    # pool; the second run adopts them.  Results must be bit-identical.
     for _ in range(3):
         again_x, again_w = run()
         assert np.array_equal(first_x, again_x)
         assert np.array_equal(first_w, again_w)
 
 
-def test_a_pooled_copy_keeps_the_value_memory_order():
-    from repro.nn.tensor import _POOL
+def test_a_copied_gradient_keeps_the_value_memory_order():
+    """A transpose's VJP returns a Fortran-ordered view; the gradient
+    stored from it is a whole copy with the view's strides."""
+    a = Tensor(np.ones((3, 5)), requires_grad=True)
+    weights = np.arange(15.0).reshape(5, 3)
+    (a.transpose() * Tensor(weights)).sum().backward()
+    value = weights.T                            # (3, 5), Fortran order
+    assert np.array_equal(a.grad, value)
+    assert a.grad.strides == value.strides and a.grad.base is None
 
-    _POOL.release(np.zeros((3, 5)))              # a C-ordered buffer waits
-    value = np.arange(15.0).reshape(5, 3).T      # (3, 5), Fortran order
-    copy = _POOL.take(value)
-    assert np.array_equal(copy, value)
-    assert copy.strides == value.strides and copy.base is None
-    _POOL.release(np.asfortranarray(np.ones((3, 5))))
-    assert all(buffer.flags.c_contiguous for buffer in _POOL._free[(3, 5)])
+
+def test_backward_retains_no_gradient_buffers():
+    """Once every tensor of a graph is dropped, nothing backward made
+    stays allocated (shapes no other test uses, so no earlier run can
+    have left buffers of them behind)."""
+    rng = np.random.default_rng(0)
+    x_data = rng.normal(size=(37, 23))
+    w_data = rng.normal(size=(29, 23))
+
+    def run():
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        (nn.linear(x, w).tanh() ** 2).sum().backward()
+
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            run()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
 
 
 def test_no_grad_produces_leaf_outputs():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, stack, no_grad
+from repro.nn import Tensor, concat, no_grad
 
 
 def test_add_broadcast_values_and_grads():
@@ -64,22 +64,11 @@ def test_matmul_vector_rhs():
     assert np.allclose(v.grad, [4.0, 6.0])
 
 
-def test_exp_log_roundtrip_grad():
-    a = Tensor([0.7], requires_grad=True)
-    a.exp().log().backward(np.ones(1))
-    assert a.grad[0] == pytest.approx(1.0)
-
-
-def test_tanh_sigmoid_relu_leaky_grads():
+def test_tanh_relu_leaky_grads():
     x = np.array([-2.0, -0.5, 0.5, 2.0])
     t = Tensor(x, requires_grad=True)
     t.tanh().sum().backward()
     assert np.allclose(t.grad, 1 - np.tanh(x) ** 2)
-
-    t = Tensor(x, requires_grad=True)
-    t.sigmoid().sum().backward()
-    s = 1 / (1 + np.exp(-x))
-    assert np.allclose(t.grad, s * (1 - s))
 
     t = Tensor(x, requires_grad=True)
     t.relu().sum().backward()
@@ -88,12 +77,6 @@ def test_tanh_sigmoid_relu_leaky_grads():
     t = Tensor(x, requires_grad=True)
     t.leaky_relu(0.1).sum().backward()
     assert np.allclose(t.grad, [0.1, 0.1, 1.0, 1.0])
-
-
-def test_abs_grad():
-    t = Tensor([-3.0, 4.0], requires_grad=True)
-    t.abs().sum().backward()
-    assert np.allclose(t.grad, [-1.0, 1.0])
 
 
 def test_sum_axis_keepdims():
@@ -108,12 +91,6 @@ def test_mean_axis_grad():
     t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     t.mean(axis=0).sum().backward()
     assert np.allclose(t.grad, np.full((2, 3), 0.5))
-
-
-def test_max_reduction_grad_ties_split():
-    t = Tensor(np.array([1.0, 3.0, 3.0]), requires_grad=True)
-    t.max().backward()
-    assert np.allclose(t.grad, [0.0, 0.5, 0.5])
 
 
 def test_reshape_transpose_grads():
@@ -134,12 +111,6 @@ def test_softmax_rows_sum_to_one():
     assert np.allclose(result.data.sum(axis=-1), 1.0)
 
 
-def test_clip_value_grad_masked():
-    t = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-    t.clip_value(-1.0, 1.0).sum().backward()
-    assert np.allclose(t.grad, [0.0, 1.0, 0.0])
-
-
 def test_concat_grad_routing():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -148,16 +119,6 @@ def test_concat_grad_routing():
     (out * Tensor(np.arange(10.0).reshape(2, 5))).sum().backward()
     assert np.allclose(a.grad, [[0, 1], [5, 6]])
     assert np.allclose(b.grad, [[2, 3, 4], [7, 8, 9]])
-
-
-def test_stack_grad_routing():
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.zeros(3), requires_grad=True)
-    out = stack([a, b], axis=0)
-    assert out.shape == (2, 3)
-    out[0].sum().backward()
-    assert np.allclose(a.grad, np.ones(3))
-    assert b.grad is None or np.allclose(b.grad, 0)
 
 
 def test_grad_accumulates_on_reuse():
@@ -193,9 +154,3 @@ def test_gradient_shape_mismatch_raises():
 def test_item_rejects_non_scalar():
     with pytest.raises(ValueError):
         Tensor(np.ones(3)).item()
-
-
-def test_detach_cuts_tape():
-    a = Tensor([1.0], requires_grad=True)
-    b = (a * 2.0).detach()
-    assert not b.requires_grad

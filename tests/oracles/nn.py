@@ -28,7 +28,7 @@ ops that the fused ``gat_attention`` node replaced;
 reproduces its values and gradients bit for bit.
 
 It also keeps the per-parameter optimizer loops that the flat parameter
-store replaced (:class:`PerParameterSGD`, :class:`PerParameterAdam`,
+store replaced (:class:`PerParameterAdam`,
 :func:`per_parameter_soft_update`): ``tests/nn/test_store_equivalence.py``
 asserts the one-vector updates reproduce them bit for bit.
 
@@ -51,7 +51,7 @@ __all__ = [
     "unfused_lstm_cell", "unfused_lstm_sequence",
     "per_head_graph_attention", "legacy_graph_attention",
     "legacy_masked_mse", "legacy_lstgat_step",
-    "PerParameterSGD", "PerParameterAdam", "per_parameter_soft_update",
+    "PerParameterAdam", "per_parameter_soft_update",
     "composed_branch", "composed_branched_x", "composed_branched_q",
     "composed_attention_weights", "composed_gat_attention",
 ]
@@ -513,29 +513,6 @@ def legacy_lstgat_step(state: dict[str, np.ndarray], targets: np.ndarray,
 # ----------------------------------------------------------------------
 # Parameters here are any objects with ``data``/``grad`` arrays (e.g.
 # LegacyTensor); ``grad is None`` means "received no gradient".
-class PerParameterSGD:
-    """The pre-store ``SGD``: one update per parameter array."""
-
-    def __init__(self, parameters, lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """Apply one update; parameters without gradients are skipped."""
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += parameter.grad
-                parameter.data -= self.lr * velocity
-            else:
-                parameter.data -= self.lr * parameter.grad
-
-
 class PerParameterAdam:
     """The pre-store ``Adam``: one update per parameter array."""
 
