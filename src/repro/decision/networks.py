@@ -129,13 +129,17 @@ def _affine(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndar
 
 
 def _relu(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU in place (``values`` is a fresh result) and its mask."""
     mask = values > 0
-    return values * mask, mask
+    np.multiply(values, mask, out=values)
+    return values, mask
 
 
 def _encode(rows: np.ndarray, lift_w, lift_b, reduce_w, reduce_b):
     """One branch, ``(B, N, k) -> (B, N)``, and what its VJP needs."""
-    hidden, lift_mask = _relu(_affine(rows, lift_w, lift_b))
+    # the lift is one 2-D product over every vehicle row
+    lifted = _affine(rows.reshape(-1, rows.shape[-1]), lift_w, lift_b)
+    hidden, lift_mask = _relu(lifted.reshape(*rows.shape[:-1], -1))
     code, reduce_mask = _relu(_affine(hidden, reduce_w, reduce_b))
     return code.reshape(rows.shape[0], -1), (hidden, lift_mask, reduce_mask)
 
@@ -153,9 +157,13 @@ def _encode_all(rows: tuple[np.ndarray, ...], weights) -> tuple[np.ndarray, list
 
 def _affine_vjp(grad, inputs, weight, need_inputs: bool, need_weight: bool,
                 need_bias: bool) -> list:
-    """The registered ``linear`` VJPs, each only when needed."""
+    """The registered ``linear`` VJPs, each only when needed.
+
+    The input gradient is one 2-D product over every row.
+    """
     out_features, in_features = weight.shape
-    return [grad @ weight if need_inputs else None,
+    return [(grad.reshape(-1, out_features) @ weight
+             ).reshape(*grad.shape[:-1], in_features) if need_inputs else None,
             grad.reshape(-1, out_features).T @ inputs.reshape(-1, in_features)
             if need_weight else None,
             grad.reshape(-1, out_features).sum(axis=0) if need_bias else None]
@@ -171,7 +179,8 @@ def _encode_vjp(grad, rows, weights, kept, needs) -> list:
         need_hidden, *needs[3:])
     if not need_hidden:
         return [None, None, None, *reduce_grads]
-    return [*_affine_vjp(grad_hidden * lift_mask, rows, lift_w, *needs[:3]),
+    grad_hidden *= lift_mask
+    return [*_affine_vjp(grad_hidden, rows, lift_w, *needs[:3]),
             *reduce_grads]
 
 

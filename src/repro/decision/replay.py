@@ -1,7 +1,8 @@
 """Experience replay buffer for the PAMDP agents.
 
-Stores transitions as pre-allocated numpy arrays (the paper uses a
-20,000-transition buffer) and samples uniform mini-batches.
+Stores transitions as fixed-capacity numpy arrays (the paper uses a
+20,000-transition buffer), allocated on the first write, and samples
+uniform mini-batches.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class TransitionBatch:
     whole episode into nine arrays (cheap to pickle, one memcpy each),
     and the learner inserts slices of it with
     :meth:`ReplayBuffer.push_many` instead of paying the per-
-    :class:`Transition` Python loop.  Field layout and dtypes match the
-    buffer's internal arrays exactly; terminal transitions store zeros
+    :class:`Transition` Python loop.  The buffer's own storage is one of
+    these, ``capacity`` rows long; terminal transitions store zeros
     for the next state and the aux column is zero-padded to
     :data:`AUX_WIDTH`, byte-for-byte what :meth:`ReplayBuffer.push`
     would have written.
@@ -92,10 +93,9 @@ class TransitionBatch:
                                   for name in self._FIELDS})
 
     @staticmethod
-    def from_transitions(transitions: Sequence[Transition]) -> "TransitionBatch":
-        """Pack :class:`Transition` objects into storage layout."""
-        size = len(transitions)
-        batch = TransitionBatch(
+    def zeros(size: int) -> "TransitionBatch":
+        """``size`` all-zero rows: the storage layout and dtypes."""
+        return TransitionBatch(
             current=np.zeros((size, *CURRENT_SHAPE)),
             future=np.zeros((size, *FUTURE_SHAPE)),
             behavior=np.zeros(size, dtype=np.int64),
@@ -106,6 +106,11 @@ class TransitionBatch:
             done=np.zeros(size),
             aux=np.zeros((size, AUX_WIDTH)),
         )
+
+    @staticmethod
+    def from_transitions(transitions: Sequence[Transition]) -> "TransitionBatch":
+        """Pack :class:`Transition` objects into storage layout."""
+        batch = TransitionBatch.zeros(len(transitions))
         for row, transition in enumerate(transitions):
             batch.current[row] = transition.state.current
             batch.future[row] = transition.state.future
@@ -128,7 +133,12 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer with uniform sampling."""
+    """Fixed-capacity ring buffer with uniform sampling.
+
+    The storage (a :class:`TransitionBatch` of ``capacity`` rows) is
+    allocated by the first write, so an agent that only acts -- in
+    evaluation or behind a server -- never holds it.
+    """
 
     def __init__(self, capacity: int = 20_000,
                  rng: np.random.Generator | None = None) -> None:
@@ -136,40 +146,45 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.rng = resolve_rng(rng)
-        self._current = np.zeros((capacity, *CURRENT_SHAPE))
-        self._future = np.zeros((capacity, *FUTURE_SHAPE))
-        self._behavior = np.zeros(capacity, dtype=np.int64)
-        self._accel = np.zeros(capacity)
-        self._reward = np.zeros(capacity)
-        self._next_current = np.zeros((capacity, *CURRENT_SHAPE))
-        self._next_future = np.zeros((capacity, *FUTURE_SHAPE))
-        self._done = np.zeros(capacity)
-        self._aux = np.zeros((capacity, 6))
+        self._storage: TransitionBatch | None = None
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of transition storage held (0 before the first write)."""
+        if self._storage is None:
+            return 0
+        return sum(column.nbytes for column in self._storage.arrays().values())
+
+    def _columns(self) -> TransitionBatch:
+        if self._storage is None:
+            self._storage = TransitionBatch.zeros(self.capacity)
+        return self._storage
+
     def push(self, transition: Transition) -> None:
         """Insert one transition, overwriting the oldest when full."""
         index = self._cursor
-        self._current[index] = transition.state.current
-        self._future[index] = transition.state.future
-        self._behavior[index] = transition.behavior
-        self._accel[index] = transition.accel
-        self._reward[index] = transition.reward
+        storage = self._columns()
+        storage.current[index] = transition.state.current
+        storage.future[index] = transition.state.future
+        storage.behavior[index] = transition.behavior
+        storage.accel[index] = transition.accel
+        storage.reward[index] = transition.reward
         if transition.next_state is not None:
-            self._next_current[index] = transition.next_state.current
-            self._next_future[index] = transition.next_state.future
+            storage.next_current[index] = transition.next_state.current
+            storage.next_future[index] = transition.next_state.future
         else:
-            self._next_current[index] = 0.0
-            self._next_future[index] = 0.0
-        self._done[index] = 1.0 if transition.done else 0.0
-        self._aux[index] = 0.0
+            storage.next_current[index] = 0.0
+            storage.next_future[index] = 0.0
+        storage.done[index] = 1.0 if transition.done else 0.0
+        storage.aux[index] = 0.0
         if transition.aux is not None:
             payload = np.asarray(transition.aux, dtype=np.float64).reshape(-1)
-            self._aux[index, :payload.size] = payload
+            storage.aux[index, :payload.size] = payload
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -178,11 +193,11 @@ class ReplayBuffer:
         """Insert a run of transitions with vectorized slice assignment.
 
         Exactly equivalent to calling :meth:`push` on each transition in
-        order -- same final arrays, ``_size`` and ``_cursor`` bit for bit
-        (property-tested in ``tests/decision/test_push_many.py``) -- but
-        one or two slice copies per field instead of a Python loop per
-        transition, which is what lets the learner drain whole worker
-        episodes per queue message.
+        order -- same :meth:`state` bit for bit (property-tested in
+        ``tests/decision/test_push_many.py``) -- but one or two slice
+        copies per field instead of a Python loop per transition, which
+        is what lets the learner drain whole worker episodes per queue
+        message.
         """
         if not isinstance(transitions, TransitionBatch):
             transitions = TransitionBatch.from_transitions(list(transitions))
@@ -198,11 +213,11 @@ class ReplayBuffer:
             transitions = transitions[count - self.capacity:]
             count = self.capacity
         head = min(count, self.capacity - start)
+        storage = self._columns().arrays()
         for name, column in transitions.arrays().items():
-            storage = getattr(self, "_" + name)
-            storage[start:start + head] = column[:head]
+            storage[name][start:start + head] = column[:head]
             if head < count:
-                storage[:count - head] = column[head:]
+                storage[name][:count - head] = column[head:]
         self._cursor = final_cursor
         self._size = min(self._size + count, self.capacity)
 
@@ -212,14 +227,34 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty buffer")
         replace = self._size < batch_size
         indices = self.rng.choice(self._size, size=batch_size, replace=replace)
-        return Batch(
-            current=self._current[indices],
-            future=self._future[indices],
-            behavior=self._behavior[indices],
-            accel=self._accel[indices],
-            reward=self._reward[indices],
-            next_current=self._next_current[indices],
-            next_future=self._next_future[indices],
-            done=self._done[indices],
-            aux=self._aux[indices],
-        )
+        return Batch(**{name: column[indices]
+                        for name, column in self._storage.arrays().items()})
+
+    def state(self) -> dict[str, np.ndarray]:
+        """The full mutable state, as copies: every column, size, cursor.
+
+        Keys and shapes depend on the capacity alone; storage that was
+        never written reads as zeros.
+        """
+        if self._storage is None:
+            state = TransitionBatch.zeros(self.capacity).arrays()
+        else:
+            state = {name: column.copy()
+                     for name, column in self._storage.arrays().items()}
+        state["size"] = np.array(self._size)
+        state["cursor"] = np.array(self._cursor)
+        return state
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Restore what :meth:`state` returned (same capacity).
+
+        A state with no transitions leaves the buffer without storage,
+        as a fresh one is.
+        """
+        self._size = int(state["size"])
+        self._cursor = int(state["cursor"])
+        if self._size == 0:
+            self._storage = None
+            return
+        for name, column in self._columns().arrays().items():
+            column[...] = state[name]

@@ -51,10 +51,6 @@ CHECKPOINT_VERSION = 3
 
 _META_KEY = "__meta__"
 
-#: Replay-buffer internals that constitute its full mutable state.
-_BUFFER_ARRAYS = ("_current", "_future", "_behavior", "_accel", "_reward",
-                  "_next_current", "_next_future", "_done", "_aux")
-
 
 class CheckpointError(RuntimeError):
     """A checkpoint file does not match the object it is loaded into."""
@@ -109,10 +105,9 @@ def _snapshot(agent) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
             arrays[f"opt.{name}.m"] = value._m.copy()
             arrays[f"opt.{name}.v"] = value._v.copy()
         elif isinstance(value, ReplayBuffer):
-            for attr in _BUFFER_ARRAYS:
-                arrays[f"buffer.{name}.{attr}"] = getattr(value, attr).copy()
-            arrays[f"buffer.{name}._size"] = np.array(value._size)
-            arrays[f"buffer.{name}._cursor"] = np.array(value._cursor)
+            # "._" keeps the archive keys of format 3
+            for key, array in value.state().items():
+                arrays[f"buffer.{name}._{key}"] = array
         elif isinstance(value, np.random.Generator):
             rng_states[name] = value.bit_generator.state
         elif isinstance(value, np.ndarray):
@@ -225,10 +220,10 @@ def _apply(agent, stored: dict[str, np.ndarray], rng_states: dict) -> None:
             value._m[...] = stored[f"opt.{name}.m"]
             value._v[...] = stored[f"opt.{name}.v"]
         elif isinstance(value, ReplayBuffer):
-            for attr in _BUFFER_ARRAYS:
-                getattr(value, attr)[...] = stored[f"buffer.{name}.{attr}"]
-            value._size = int(stored[f"buffer.{name}._size"])
-            value._cursor = int(stored[f"buffer.{name}._cursor"])
+            prefix = f"buffer.{name}._"
+            value.load_state({key[len(prefix):]: array
+                              for key, array in stored.items()
+                              if key.startswith(prefix)})
         elif isinstance(value, np.random.Generator):
             # in place, so objects sharing this Generator keep sharing it
             value.bit_generator.state = rng_states[name]

@@ -82,6 +82,10 @@ def _vjp_lstm_step_cell(grad, out, ctx, gates, cell):
 defvjp("lstm_step", _vjp_lstm_step_gates, _vjp_lstm_step_cell)
 
 
+#: Per-gate factor ``[i, f, g, o]`` applied before the sigmoid's exp.
+_NEGATE_DOUBLE_G = np.array([-1.0, -1.0, -2.0, -1.0])[:, None]
+
+
 def lstm_sequence(input_proj: Tensor, weight_hh: Tensor,
                   hidden: Tensor, cell: Tensor) -> Tensor:
     """Whole LSTM recurrence over a sequence as a *single* tape node.
@@ -125,20 +129,23 @@ def lstm_sequence(input_proj: Tensor, weight_hh: Tensor,
     # cells[t] is the cell state *entering* step t; cells[steps] the final.
     cells = np.empty((steps + 1, batch, hidden_size))
     cells[0] = cell.data
+    # the step-major input projections, laid out once (a + b == b + a
+    # bitwise, so adding the recurrence to them keeps the bits)
+    np.copyto(flat_gates, proj.transpose(1, 0, 2))
+    recurrence = np.empty((batch, packed_dim))
     scratch = np.empty((batch, hidden_size))
     for t in range(steps):
         raw_flat = flat_gates[t]
-        np.matmul(h, recurrent_t, out=raw_flat)
-        raw_flat += proj[:, t]
+        raw_flat += np.matmul(h, recurrent_t, out=recurrence)
         raw = gates[t]
         # All four gates in one ufunc chain: sigmoid for i/f/o directly,
-        # and tanh(x) = 2*sigmoid(2x) - 1 for the g candidate.
-        g_gate = raw[:, 2]
-        g_gate *= 2.0
-        np.negative(raw, out=raw)
+        # and tanh(x) = 2*sigmoid(2x) - 1 for the g candidate; the
+        # negation and the doubling are one exact multiply.
+        raw *= _NEGATE_DOUBLE_G
         np.exp(raw, out=raw)
         raw += 1.0
         np.reciprocal(raw, out=raw)
+        g_gate = raw[:, 2]
         g_gate *= 2.0
         g_gate -= 1.0
         c_new = np.multiply(raw[:, 1], cells[t], out=cells[t + 1])

@@ -113,3 +113,27 @@ def test_save_load_roundtrip(tmp_path, config):
     restored = clone.agent.action_values(state)
     np.testing.assert_allclose(original[0], restored[0])
     np.testing.assert_allclose(original[1], restored[1])
+
+
+def test_greedy_head_holds_no_replay_storage_until_observe():
+    # an evaluating or serving HEAD never writes a transition, so it
+    # must not pay for the replay arrays
+    from repro.decision import Transition
+
+    head = HEAD(HEADConfig().scaled(), rng=np.random.default_rng(0))
+    buffer = head.agent.buffer
+    env = head.make_env()
+    state = env.reset(0)
+    for _ in range(3):
+        action = head.agent.act(state, explore=False)
+        next_state, breakdown, done, _ = env.step(action)
+        assert buffer.nbytes == 0
+        if done:
+            break
+    assert len(buffer) == 0
+    head.agent.observe(Transition(
+        state=state, behavior=int(action.behavior), accel=action.accel,
+        reward=breakdown.total, next_state=next_state, done=done,
+        aux=head.agent.last_aux()))
+    assert len(buffer) == 1
+    assert buffer.nbytes > 0

@@ -7,7 +7,7 @@ arithmetic, overwrite order when a run exceeds the capacity -- would
 silently change which transitions get sampled.  These are
 property tests: random pre-fills, random run lengths (including empty
 runs and runs longer than the whole buffer), asserted as exact array
-equality over every internal field plus ``_size``/``_cursor``.
+equality over every field of ``ReplayBuffer.state()``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.decision.pamdp import AugmentedState, CURRENT_SHAPE, FUTURE_SHAPE
 from repro.decision.replay import ReplayBuffer, Transition, TransitionBatch
 from repro.seeding import default_generator
-
-_STATE_FIELDS = ("_current", "_future", "_behavior", "_accel", "_reward",
-                 "_next_current", "_next_future", "_done", "_aux")
-
 
 def make_transition(rng: np.random.Generator, terminal: bool,
                     with_aux: bool) -> Transition:
@@ -50,11 +46,10 @@ def make_run(seed: int, count: int) -> list[Transition]:
 
 
 def assert_same_state(lhs: ReplayBuffer, rhs: ReplayBuffer) -> None:
-    assert lhs._size == rhs._size
-    assert lhs._cursor == rhs._cursor
-    for field in _STATE_FIELDS:
-        np.testing.assert_array_equal(getattr(lhs, field), getattr(rhs, field),
-                                      err_msg=field)
+    lhs_state, rhs_state = lhs.state(), rhs.state()
+    assert lhs_state.keys() == rhs_state.keys()
+    for field, array in lhs_state.items():
+        np.testing.assert_array_equal(array, rhs_state[field], err_msg=field)
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,14 +109,15 @@ def test_run_longer_than_capacity_keeps_trailing_window():
     vectorized = ReplayBuffer(capacity, rng=default_generator(0))
     vectorized.push_many(run)
     assert_same_state(sequential, vectorized)
-    assert vectorized._size == capacity
-    assert vectorized._cursor == 13 % capacity
+    assert len(vectorized) == capacity
+    assert vectorized.state()["cursor"] == 13 % capacity
 
 
 def test_empty_run_is_a_no_op():
     buffer = ReplayBuffer(4, rng=default_generator(0))
     buffer.push_many([])
-    assert len(buffer) == 0 and buffer._cursor == 0
+    assert len(buffer) == 0 and buffer.state()["cursor"] == 0
+    assert buffer.nbytes == 0
 
 
 def test_transition_batch_rejects_integer_indexing():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import HEAD, HEADConfig
-from repro.decision import PDQNAgent, PDDPGAgent, NaNLossError, train_agent
+from repro.decision import (PDQNAgent, PDDPGAgent, NaNLossError, Transition,
+                            train_agent)
 from repro.decision import trainer
 from repro.decision.trainer import CHECKPOINT_NAME
 from repro.faults import (CheckpointError, latest_checkpoint, load_checkpoint,
@@ -90,6 +91,24 @@ def test_rng_restore_preserves_buffer_sharing(tmp_path):
     # the buffer samples from the agent's stream; restoring in place
     # must keep them the same Generator object
     assert target.agent.buffer.rng is target.agent.rng
+
+
+def test_never_filled_agent_round_trips_without_storage(tmp_path):
+    source = make_head(seed=1)
+    path = save_checkpoint(tmp_path / "agent.ckpt.npz", source.agent)
+    assert source.agent.buffer.nbytes == 0
+    # a target that holds transitions drops them on restore
+    target = make_head(seed=2)
+    target.agent.observe(Transition(
+        state=target.make_env().reset(0), behavior=2, accel=0.0, reward=0.0,
+        next_state=None, done=True))
+    load_checkpoint(path, target.agent)
+    assert len(target.agent.buffer) == 0
+    assert target.agent.buffer.nbytes == 0
+    assert target.agent.total_steps == 0
+    restored = target.agent.buffer.state()
+    for key, array in source.agent.buffer.state().items():
+        assert np.array_equal(restored[key], array), key
 
 
 def test_save_is_atomic_and_leaves_no_temp_files(tmp_path):
